@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"unsafe"
 )
 
 const (
@@ -273,20 +274,88 @@ func (v *Vector) Not(a *Vector) {
 
 // OrAll stores the OR of all operands into v. It panics if operands is
 // empty. This is the software analogue of Pinatubo's one-step n-row OR.
+// v may be one of the operands; that case ORs through a scratch vector,
+// because OrWordsInto forbids a destination that aliases a row.
 func (v *Vector) OrAll(operands ...*Vector) {
 	if len(operands) == 0 {
 		panic("bitvec: OrAll needs at least one operand")
 	}
+	// Row headers live on the stack up to Pinatubo's 128-row OR depth, so
+	// OrAll allocates nothing at any depth the hardware supports.
+	var buf [128][]uint64
+	rows := buf[:0]
+	aliased := false
 	for _, o := range operands {
 		v.mustMatch(o)
+		aliased = aliased || o == v
+		rows = append(rows, o.words)
 	}
-	for i := range v.words {
-		w := operands[0].words[i]
-		for _, o := range operands[1:] {
-			w |= o.words[i]
+	if !aliased {
+		OrWordsInto(v.words, rows)
+		return
+	}
+	tmp := make([]uint64, len(v.words))
+	OrWordsInto(tmp, rows)
+	copy(v.words, tmp)
+}
+
+// OrWordsInto stores the OR of the operand rows into dst: word j of dst
+// becomes rows[0][j] | rows[1][j] | … for every j < len(dst). It is the
+// host's one implementation of Pinatubo's n-row OR word math, shared by
+// the sense-amplifier model, the controller's digital fold, the DRAM
+// backend and OrAll.
+//
+// The loop is row-major and blocked four rows per pass: each pass streams
+// four operand rows against dst, so dst is loaded and stored once per
+// four rows, and every row is resliced to len(dst) up front so the inner
+// loops carry no bounds checks. The first pass assigns the 1–4 leading
+// rows, leaving a whole number of four-row blocks to accumulate. Eight
+// rows per pass measured no faster than four on full rows, and would
+// need twice the first-pass cases.
+//
+// Every row must hold at least len(dst) words, and dst must not share
+// memory with any row (see Overlaps): a later pass would re-read an
+// operand word that an earlier pass had overwritten, and the result would
+// be silently wrong. Panics if rows is empty or a row is short — caller
+// bugs, like a slice-bounds fault.
+func OrWordsInto(dst []uint64, rows [][]uint64) {
+	n := len(dst)
+	k := (len(rows)-1)%4 + 1
+	switch k {
+	case 1:
+		copy(dst, rows[0][:n])
+	case 2:
+		a, b := rows[0][:n], rows[1][:n]
+		for j := range dst {
+			dst[j] = a[j] | b[j]
 		}
-		v.words[i] = w
+	case 3:
+		a, b, c := rows[0][:n], rows[1][:n], rows[2][:n]
+		for j := range dst {
+			dst[j] = a[j] | b[j] | c[j]
+		}
+	case 4:
+		a, b, c, d := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n]
+		for j := range dst {
+			dst[j] = a[j] | b[j] | c[j] | d[j]
+		}
+	default:
+		panic("bitvec: OrWordsInto needs at least one row")
 	}
+	for i := k; i+4 <= len(rows); i += 4 {
+		a, b, c, d := rows[i][:n], rows[i+1][:n], rows[i+2][:n], rows[i+3][:n]
+		for j := range dst {
+			dst[j] |= a[j] | b[j] | c[j] | d[j]
+		}
+	}
+}
+
+// Overlaps reports whether two word slices share any backing memory — the
+// O(1) address-range check behind OrWordsInto's aliasing rule.
+func Overlaps(a, b []uint64) bool {
+	return len(a) > 0 && len(b) > 0 &&
+		uintptr(unsafe.Pointer(&a[0])) <= uintptr(unsafe.Pointer(&b[len(b)-1])) &&
+		uintptr(unsafe.Pointer(&b[0])) <= uintptr(unsafe.Pointer(&a[len(a)-1]))
 }
 
 // AndAll stores the AND of all operands into v. It panics if operands is

@@ -84,4 +84,70 @@ func TestWordHelpersZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("%v allocs/op across the word helpers, want 0", allocs)
 	}
+	// Every path through the OR kernel: each first-pass width (1-4 rows),
+	// one accumulate block (5), and the 128-row cap.
+	rows := make([][]uint64, 128)
+	vecs := make([]*Vector, 128)
+	for i := range rows {
+		vecs[i] = randVec(4096, int64(i))
+		rows[i] = vecs[i].Words()
+	}
+	dst := New(4096)
+	for _, n := range []int{1, 2, 3, 4, 5, 128} {
+		allocs := testing.AllocsPerRun(100, func() {
+			OrWordsInto(dst.Words(), rows[:n])
+		})
+		if allocs != 0 {
+			t.Errorf("OrWordsInto x%d: %v allocs/op, want 0", n, allocs)
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			dst.OrAll(vecs[:n]...)
+		})
+		if allocs != 0 {
+			t.Errorf("OrAll x%d: %v allocs/op, want 0", n, allocs)
+		}
+	}
+}
+
+func TestOverlaps(t *testing.T) {
+	a := make([]uint64, 16)
+	b := make([]uint64, 16)
+	cases := []struct {
+		name string
+		x, y []uint64
+		want bool
+	}{
+		{"same slice", a, a, true},
+		{"shifted window", a[:8], a[7:], true},
+		{"inside", a[2:4], a, true},
+		{"adjacent halves", a[:8], a[8:], false},
+		{"distinct arrays", a, b, false},
+		{"empty", a[:0], a, false},
+	}
+	for _, c := range cases {
+		if got := Overlaps(c.x, c.y); got != c.want {
+			t.Errorf("%s: Overlaps = %v, want %v", c.name, got, c.want)
+		}
+		if got := Overlaps(c.y, c.x); got != c.want {
+			t.Errorf("%s (swapped): Overlaps = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// OrAll may name its destination among the operands: the OR then folds
+// through scratch instead of tripping OrWordsInto's aliasing rule.
+func TestOrAllDestinationAsOperand(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ops := make([]*Vector, 9)
+	for i := range ops {
+		ops[i] = randomVector(rng, 700)
+	}
+	want := New(700)
+	want.OrAll(ops...)
+	v := ops[6].Clone()
+	ops[6] = v
+	v.OrAll(ops...)
+	if !v.Equal(want) {
+		t.Fatal("OrAll with the destination as operand 6 gave a different OR")
+	}
 }

@@ -35,6 +35,7 @@ import (
 	"fmt"
 
 	"pinatubo/internal/backend"
+	"pinatubo/internal/bitvec"
 	"pinatubo/internal/ddr"
 	"pinatubo/internal/energy"
 	"pinatubo/internal/memarch"
@@ -154,9 +155,7 @@ func combine(dst []uint64, op sense.Op, rows [][]uint64) {
 			dst[i] = a[i] & rows[1][i]
 		}
 	case sense.OpOR:
-		for i := range dst {
-			dst[i] = a[i] | rows[1][i]
-		}
+		bitvec.OrWordsInto(dst, rows)
 	case sense.OpXOR:
 		for i := range dst {
 			dst[i] = a[i] ^ rows[1][i]

@@ -585,9 +585,14 @@ func (c *Controller) executeCached(op sense.Op, srcs []memarch.RowAddr, bits int
 	return res, true, nil
 }
 
-// combineWords folds operand rows through the digital add-on logic — the
-// same word math execInter's streaming accumulation performs.
+// combineWords folds operand rows through the digital add-on logic: the
+// word math of both the cached and the fresh global-buffer paths. out
+// must not share memory with any row.
 func combineWords(op sense.Op, rows [][]uint64, out []uint64) {
+	if op == sense.OpOR {
+		bitvec.OrWordsInto(out, rows)
+		return
+	}
 	copy(out, rows[0][:len(out)])
 	switch op {
 	case sense.OpINV:
@@ -598,12 +603,6 @@ func combineWords(op sense.Op, rows [][]uint64, out []uint64) {
 		for _, r := range rows[1:] {
 			for j := range out {
 				out[j] &= r[j]
-			}
-		}
-	case sense.OpOR:
-		for _, r := range rows[1:] {
-			for j := range out {
-				out[j] |= r[j]
 			}
 		}
 	case sense.OpXOR:
@@ -778,6 +777,10 @@ func (c *Controller) execInter(op sense.Op, srcs []memarch.RowAddr, bits int, ds
 		buf = c.mem.GlobalBuffer(srcs[0].Channel, srcs[0].Rank, srcs[0].Bank)
 	}
 
+	if cap(c.rowsScratch) < len(srcs) {
+		c.rowsScratch = make([][]uint64, len(srcs))
+	}
+	rows := c.rowsScratch[:len(srcs)]
 	fbits := float64(bits)
 	for i, s := range srcs {
 		// Read the operand row: activate + normal sensing per group.
@@ -804,34 +807,16 @@ func (c *Controller) execInter(op sense.Op, srcs []memarch.RowAddr, bits int, ds
 			c.inj.FlipSensed(sense.OpRead, 1, bits, cp)
 			row = cp
 		}
-		if i == 0 {
-			copy(buf[:w], row)
-			continue
-		}
-		// Add-on digital logic combines the streamed row into the buffer.
-		res.Energy.Add(energy.Logic, fbits*e.LogicPerBit)
-		switch op {
-		case sense.OpAND:
-			for j := 0; j < w; j++ {
-				buf[j] &= row[j]
-			}
-		case sense.OpOR:
-			for j := 0; j < w; j++ {
-				buf[j] |= row[j]
-			}
-		case sense.OpXOR:
-			for j := 0; j < w; j++ {
-				buf[j] ^= row[j]
-			}
-		default:
-			return fmt.Errorf("pim: op %v cannot have %d operands on the %s path",
-				op, len(srcs), res.Class)
+		rows[i] = row
+		if i > 0 {
+			// Add-on digital logic combines the streamed row into the buffer.
+			res.Energy.Add(energy.Logic, fbits*e.LogicPerBit)
 		}
 	}
+	// validateOperandCount admitted only operand counts the add-on logic
+	// supports, so the fold cannot meet an op it does not implement.
+	combineWords(op, rows, buf[:w])
 	if len(srcs) == 1 && op == sense.OpINV {
-		for j := 0; j < w; j++ {
-			buf[j] = ^buf[j]
-		}
 		res.Energy.Add(energy.Logic, fbits*e.LogicPerBit)
 	}
 

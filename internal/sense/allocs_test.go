@@ -30,13 +30,13 @@ func TestComputeWordsIntoZeroAllocs(t *testing.T) {
 	if err := a.ComputeWordsInto(dst, OpOR, rows); err != nil {
 		t.Fatal(err)
 	}
-	for _, op := range []Op{OpOR, OpAND, OpXOR, OpINV} {
+	for _, op := range []Op{OpOR, OpAND, OpXOR, OpINV, OpRead} {
 		op := op
 		in := rows
 		if op == OpAND || op == OpXOR {
 			in = rows[:2]
 		}
-		if op == OpINV {
+		if op == OpINV || op == OpRead {
 			in = rows[:1]
 		}
 		allocs := testing.AllocsPerRun(100, func() {
@@ -46,6 +46,24 @@ func TestComputeWordsIntoZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%v: %v allocs/op in steady state, want 0", op, allocs)
+		}
+	}
+	// OR at every path through the blocked kernel: each first-pass width
+	// an OR can reach (2-4 rows; one row is READ's copy, pinned above),
+	// one accumulate block (5) and the 128-row cap.
+	deep := randRows(128, 16, 12)
+	for _, n := range []int{2, 3, 4, 5, 128} {
+		in := deep[:n]
+		if err := a.ComputeWordsInto(dst, OpOR, in); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := a.ComputeWordsInto(dst, OpOR, in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("OR x%d: %v allocs/op in steady state, want 0", n, allocs)
 		}
 	}
 }

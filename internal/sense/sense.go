@@ -14,9 +14,10 @@ package sense
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"pinatubo/internal/analog"
+	"pinatubo/internal/bitvec"
 	"pinatubo/internal/nvm"
 )
 
@@ -86,7 +87,10 @@ type Array struct {
 	// checkEvery > 0 enables analog cross-checking of that many sampled
 	// bit positions per ComputeWords call.
 	checkEvery int
-	rng        *rand.Rand
+	// rng draws the sample positions from pcg, which seeds in O(1), so
+	// Reset can rewind the stream on every pooled-sandbox get.
+	pcg *rand.PCG
+	rng *rand.Rand
 	// cells is the analog-check sample scratch, reused so steady-state
 	// operations allocate nothing for the cross-check.
 	cells []bool
@@ -111,14 +115,20 @@ func NewArray(p nvm.Params, cfg analog.SenseConfig, checkBits int) (*Array, erro
 	if depth > p.MaxOpenRows {
 		depth = p.MaxOpenRows
 	}
+	pcg := rand.NewPCG(sampleSeed, 0)
 	return &Array{
 		params:     p,
 		cfg:        cfg,
 		checkEvery: checkBits,
-		rng:        rand.New(rand.NewSource(0x9144)), // deterministic sampling
+		pcg:        pcg,
+		rng:        rand.New(pcg),
 		maxOR:      depth,
 	}, nil
 }
+
+// sampleSeed fixes the analog-check sampling stream, so every run picks
+// the same sample positions.
+const sampleSeed = 0x9144
 
 // MaxORRows returns the operand-row limit for OR on this array: the smaller
 // of the architectural cap and the analog sensing-margin depth, memoised at
@@ -149,7 +159,7 @@ func (a *Array) ValidateOperands(op Op, n int) error {
 // Reset restores the array's deterministic analog-check sampling stream
 // to its NewArray state (pooled shard sandboxes reset through here).
 func (a *Array) Reset() {
-	a.rng = rand.New(rand.NewSource(0x9144))
+	a.pcg.Seed(sampleSeed, 0)
 }
 
 // ComputeWords resolves the operation over word-parallel operand rows and
@@ -169,7 +179,9 @@ func (a *Array) ComputeWords(op Op, rows [][]uint64) ([]uint64, error) {
 }
 
 // ComputeWordsInto is ComputeWords resolving into a caller-owned buffer:
-// dst must hold exactly len(rows[0]) words, and a steady-state call
+// dst must hold exactly len(rows[0]) words and must not share memory with
+// any operand row (the OR kernel accumulates row-major, so an aliased row
+// would be re-read after it was overwritten). A steady-state call
 // allocates nothing (the analog cross-check included). This is the
 // zero-alloc hot path the controller's cached executions and the voted
 // sensing loop run on.
@@ -185,6 +197,11 @@ func (a *Array) ComputeWordsInto(dst []uint64, op Op, rows [][]uint64) error {
 	}
 	if len(dst) != width {
 		return fmt.Errorf("sense: destination has %d words, rows have %d", len(dst), width)
+	}
+	for i, r := range rows {
+		if bitvec.Overlaps(dst, r) {
+			return fmt.Errorf("sense: destination overlaps operand row %d", i)
+		}
 	}
 	out := dst
 	switch op {
@@ -203,13 +220,7 @@ func (a *Array) ComputeWordsInto(dst []uint64, op Op, rows [][]uint64) error {
 			out[i] = rows[0][i] ^ rows[1][i]
 		}
 	case OpOR:
-		for i := range out {
-			w := rows[0][i]
-			for _, r := range rows[1:] {
-				w |= r[i]
-			}
-			out[i] = w
-		}
+		bitvec.OrWordsInto(out, rows)
 	}
 	if a.checkEvery > 0 && width > 0 {
 		a.analogCheck(op, rows, out)
@@ -226,7 +237,7 @@ func (a *Array) analogCheck(op Op, rows [][]uint64, out []uint64) {
 		a.cells = make([]bool, len(rows))
 	}
 	for k := 0; k < a.checkEvery; k++ {
-		pos := a.rng.Intn(totalBits)
+		pos := a.rng.IntN(totalBits)
 		wi, bi := pos/64, uint(pos%64)
 		cells := a.cells[:len(rows)]
 		for r := range rows {
