@@ -57,4 +57,21 @@ func TestLWLStateMachine(t *testing.T) {
 	if err := l.Latch(99); err == nil {
 		t.Error("row outside the subarray accepted")
 	}
+	// Open reports rows in address order whatever the latch order.
+	l.Reset()
+	for _, r := range []int{5, 0, 3} {
+		if err := l.Latch(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := l.Open(); len(got) != 3 || got[0] != 0 || got[1] != 3 || got[2] != 5 {
+		t.Errorf("Open() after out-of-order latches = %v, want [0 3 5]", got)
+	}
+	l.Reset()
+	if got := l.OpenCount(); got != 0 {
+		t.Errorf("OpenCount after Reset = %d, want 0", got)
+	}
+	if err := l.Latch(3); err != nil {
+		t.Errorf("re-latch after Reset: %v", err)
+	}
 }

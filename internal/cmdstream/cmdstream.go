@@ -15,7 +15,7 @@
 //	           executor;
 //	execute  — internal/pimrt records the program of everything a
 //	           scheduled operation put on the channel and derives its
-//	           Cost, request count and TraceSegments from it in exactly
+//	           Cost, request count and vote tallies from it in exactly
 //	           one place.
 //
 // Each instruction carries its cost annotation (Seconds, Joules) as priced
@@ -192,8 +192,8 @@ func (p Program) Channel() int {
 // Request lowers the program onto the channel scheduler: KindRequest
 // instructions through chansim.FromDDR's per-command pricing (issue slots,
 // exec times, bank resources), KindVerify passes as one command-bus issue
-// slot plus a bank-busy interval. Zero-second verify passes leave no
-// scheduling footprint, exactly as they leave no trace segment.
+// slot plus a bank-busy interval. Zero-second verify passes (the linear
+// ECC fast path) add energy but leave no scheduling footprint.
 func (p Program) Request(name string, t nvm.Timing, bus ddr.BusParams, banks int) chansim.Request {
 	req := chansim.Request{Name: name, Channel: p.Channel()}
 	for _, in := range p.Instrs {

@@ -19,9 +19,10 @@ import (
 // the program-cache hit rate. Wall-clock ops/s is reported for the
 // before/after tables but never gated — it is machine noise in CI.
 
-// applyBenchRounds is the measured round count; each round issues three
-// ops (AND, XOR, 3-source OR) over the same operands.
-const applyBenchRounds = 128
+// benchRounds is the measured round count of the repeated-op workload;
+// each round issues three ops (AND, XOR, 3-source OR) over the same
+// operands.
+const benchRounds = 128
 
 // ApplyBenchResult is the committed-baseline artifact (BENCH_apply.json).
 type ApplyBenchResult struct {
@@ -37,72 +38,107 @@ type ApplyBenchResult struct {
 	CacheHitRate float64 `json:"cache_hit_rate"`
 }
 
-// ApplyBench runs the repeated-op workload once warm and once measured.
-func ApplyBench() (ApplyBenchResult, error) {
-	sys, err := pinatubo.New(pinatubo.DefaultConfig())
+// repeatedOps is one measured run of the repeated-op workload, the
+// figures ApplyBench and DRAMBench both report.
+type repeatedOps struct {
+	ops           int
+	wallOpsPerSec float64
+	allocsPerOp   float64
+	cacheHitRate  float64
+	// simSeconds and joules sum the measured ops' simulated cost.
+	simSeconds, joules float64
+	rowBits            int
+}
+
+// runRepeatedOps builds a System from cfg, runs the repeated-op workload
+// once warm and then benchRounds times measured.
+func runRepeatedOps(cfg pinatubo.Config) (repeatedOps, error) {
+	var m repeatedOps
+	sys, err := pinatubo.New(cfg)
 	if err != nil {
-		return ApplyBenchResult{}, err
+		return m, err
 	}
-	vs, err := sys.AllocGroup(6, sys.RowBits())
+	m.rowBits = sys.RowBits()
+	vs, err := sys.AllocGroup(6, m.rowBits)
 	if err != nil {
-		return ApplyBenchResult{}, err
+		return m, err
 	}
 	rng := rand.New(rand.NewSource(42))
-	data := make([]uint64, sys.RowBits()/64)
+	data := make([]uint64, m.rowBits/64)
 	for _, v := range vs[:4] {
 		for i := range data {
 			data[i] = rng.Uint64()
 		}
 		if _, err := sys.Write(v, data); err != nil {
-			return ApplyBenchResult{}, err
+			return m, err
 		}
 	}
-	round := func() error {
-		if _, err := sys.And(vs[4], vs[0], vs[1]); err != nil {
+	tally := func(res pinatubo.Result, err error) error {
+		if err != nil {
 			return err
 		}
-		if _, err := sys.Xor(vs[5], vs[2], vs[3]); err != nil {
-			return err
-		}
-		if _, err := sys.Or(vs[4], vs[0], vs[1], vs[2]); err != nil {
-			return err
-		}
+		m.simSeconds += res.Latency.Seconds()
+		m.joules += res.EnergyJoules
 		return nil
 	}
+	round := func() error {
+		if err := tally(sys.And(vs[4], vs[0], vs[1])); err != nil {
+			return err
+		}
+		if err := tally(sys.Xor(vs[5], vs[2], vs[3])); err != nil {
+			return err
+		}
+		return tally(sys.Or(vs[4], vs[0], vs[1], vs[2]))
+	}
 	// Warm up: populate the program cache and grow every scratch buffer
-	// to steady-state size, then snapshot the cache counters so the hit
-	// rate covers only the measured window.
+	// to steady-state size, then snapshot the counters so every figure
+	// covers only the measured window.
 	if err := round(); err != nil {
-		return ApplyBenchResult{}, err
+		return m, err
 	}
 	warm := sys.PerfStats()
+	m.simSeconds, m.joules = 0, 0
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	//pinlint:ignore detrand wall-clock throughput is the benchmark's informational measurement, not a simulated result
 	start := time.Now()
-	for i := 0; i < applyBenchRounds; i++ {
+	for i := 0; i < benchRounds; i++ {
 		if err := round(); err != nil {
-			return ApplyBenchResult{}, err
+			return m, err
 		}
 	}
 	//pinlint:ignore detrand wall-clock throughput is the benchmark's informational measurement, not a simulated result
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 
-	res := ApplyBenchResult{Ops: applyBenchRounds * 3}
+	m.ops = benchRounds * 3
 	if s := wall.Seconds(); s > 0 {
-		res.WallOpsPerSec = float64(res.Ops) / s
+		m.wallOpsPerSec = float64(m.ops) / s
 	}
-	res.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(res.Ops)
+	m.allocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(m.ops)
 	perf := sys.PerfStats()
 	hits := perf.ProgramCacheHits - warm.ProgramCacheHits
 	misses := perf.ProgramCacheMisses - warm.ProgramCacheMisses
 	if lookups := hits + misses; lookups > 0 {
-		res.CacheHitRate = float64(hits) / float64(lookups)
+		m.cacheHitRate = float64(hits) / float64(lookups)
 	}
-	return res, nil
+	return m, nil
+}
+
+// ApplyBench runs the repeated-op workload on the default (PCM) system.
+func ApplyBench() (ApplyBenchResult, error) {
+	m, err := runRepeatedOps(pinatubo.DefaultConfig())
+	if err != nil {
+		return ApplyBenchResult{}, err
+	}
+	return ApplyBenchResult{
+		Ops:           m.ops,
+		WallOpsPerSec: m.wallOpsPerSec,
+		AllocsPerOp:   m.allocsPerOp,
+		CacheHitRate:  m.cacheHitRate,
+	}, nil
 }
 
 // FormatApplyBench renders the benchmark as a short text block.

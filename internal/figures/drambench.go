@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
-	"runtime"
-	"time"
 
 	"pinatubo"
 )
@@ -18,10 +15,6 @@ import (
 // its simulated time and energy are fully deterministic — the gate pins
 // them too, and any change to the TRA lowering's command count or
 // pricing shows up as a gate failure rather than a silent drift.
-
-// dramBenchRounds is the measured round count; each round issues three
-// ops (AND, XOR, 3-source chained OR) over the same operands.
-const dramBenchRounds = 128
 
 // DRAMBenchResult is the committed-baseline artifact (BENCH_dram.json).
 type DRAMBenchResult struct {
@@ -44,79 +37,20 @@ type DRAMBenchResult struct {
 	PJPerBit float64 `json:"pj_per_bit"`
 }
 
-// DRAMBench runs the repeated-op workload on a DRAM system, once warm
-// and once measured.
+// DRAMBench runs the repeated-op workload on a DRAM system.
 func DRAMBench() (DRAMBenchResult, error) {
-	sys, err := pinatubo.New(pinatubo.Config{Tech: pinatubo.DRAM})
+	m, err := runRepeatedOps(pinatubo.Config{Tech: pinatubo.DRAM})
 	if err != nil {
 		return DRAMBenchResult{}, err
 	}
-	vs, err := sys.AllocGroup(6, sys.RowBits())
-	if err != nil {
-		return DRAMBenchResult{}, err
-	}
-	rng := rand.New(rand.NewSource(42))
-	data := make([]uint64, sys.RowBits()/64)
-	for _, v := range vs[:4] {
-		for i := range data {
-			data[i] = rng.Uint64()
-		}
-		if _, err := sys.Write(v, data); err != nil {
-			return DRAMBenchResult{}, err
-		}
-	}
-	var simSeconds, joules float64
-	round := func() error {
-		for _, call := range []func() (pinatubo.Result, error){
-			func() (pinatubo.Result, error) { return sys.And(vs[4], vs[0], vs[1]) },
-			func() (pinatubo.Result, error) { return sys.Xor(vs[5], vs[2], vs[3]) },
-			func() (pinatubo.Result, error) { return sys.Or(vs[4], vs[0], vs[1], vs[2]) },
-		} {
-			res, err := call()
-			if err != nil {
-				return err
-			}
-			simSeconds += res.Latency.Seconds()
-			joules += res.EnergyJoules
-		}
-		return nil
-	}
-	// Warm up: populate the program cache and grow scratch buffers, then
-	// snapshot counters so every figure covers only the measured window.
-	if err := round(); err != nil {
-		return DRAMBenchResult{}, err
-	}
-	warm := sys.PerfStats()
-	simSeconds, joules = 0, 0
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	//pinlint:ignore detrand wall-clock throughput is the benchmark's informational measurement, not a simulated result
-	start := time.Now()
-	for i := 0; i < dramBenchRounds; i++ {
-		if err := round(); err != nil {
-			return DRAMBenchResult{}, err
-		}
-	}
-	//pinlint:ignore detrand wall-clock throughput is the benchmark's informational measurement, not a simulated result
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-
-	res := DRAMBenchResult{Ops: dramBenchRounds * 3}
-	if s := wall.Seconds(); s > 0 {
-		res.WallOpsPerSec = float64(res.Ops) / s
-	}
-	res.AllocsPerOp = float64(after.Mallocs-before.Mallocs) / float64(res.Ops)
-	perf := sys.PerfStats()
-	hits := perf.ProgramCacheHits - warm.ProgramCacheHits
-	misses := perf.ProgramCacheMisses - warm.ProgramCacheMisses
-	if lookups := hits + misses; lookups > 0 {
-		res.CacheHitRate = float64(hits) / float64(lookups)
-	}
-	res.SimSecondsPerOp = simSeconds / float64(res.Ops)
-	res.PJPerBit = joules / float64(res.Ops) / float64(sys.RowBits()) * 1e12
-	return res, nil
+	return DRAMBenchResult{
+		Ops:             m.ops,
+		WallOpsPerSec:   m.wallOpsPerSec,
+		AllocsPerOp:     m.allocsPerOp,
+		CacheHitRate:    m.cacheHitRate,
+		SimSecondsPerOp: m.simSeconds / float64(m.ops),
+		PJPerBit:        m.joules / float64(m.ops) / float64(m.rowBits) * 1e12,
+	}, nil
 }
 
 // FormatDRAMBench renders the benchmark as a short text block.

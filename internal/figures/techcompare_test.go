@@ -60,8 +60,8 @@ func TestDRAMBenchAndGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ops != dramBenchRounds*3 {
-		t.Errorf("Ops = %d, want %d", res.Ops, dramBenchRounds*3)
+	if res.Ops != benchRounds*3 {
+		t.Errorf("Ops = %d, want %d", res.Ops, benchRounds*3)
 	}
 	if res.CacheHitRate < 0.9 {
 		t.Errorf("cache hit rate %.3f — repeated-op workload should be nearly all hits", res.CacheHitRate)

@@ -6,108 +6,199 @@ import (
 	"go/types"
 )
 
-// CostPair guards the invariant behind "trace segments sum exactly to
-// Cost.Seconds": any function that emits channel-schedulable trace segments
-// (appends a TraceSegment, or calls the addOpaque helper) must also touch
-// the paired Cost accounting in the same body — otherwise the command trace
-// replayed through chansim diverges from the cost the operation reported,
-// and the planning API's saturation numbers quietly stop being real.
+// CostPair pins Cost accounting to its single derivation site. A struct
+// that carries a lowered cmdstream.Program next to a Cost field reports
+// that Cost as a fold over the program: the program's instruction seconds
+// summing exactly to Cost.Seconds is what makes Plan's replay honest. A
+// write to such a Cost field must therefore be that program's Cost() fold:
 //
-// Detection is type-name driven: an append whose element type is named
-// TraceSegment, paired with a selector of a field or value named Cost (or a
-// call to Cost.Add). A helper whose whole job is the trace side of the pair
-// documents that with a pinlint:ignore directive at its declaration.
+//	res.Cost = res.Program.Cost()
+//	T{Program: p, Cost: p.Cost()}
+//
+// Anything else is reported — assigning another value, writing a
+// sub-field, incrementing, calling a pointer-receiver method such as
+// Cost.Add, or taking the field's address — because it lets the reported
+// cost drift from the program a scheduler replays.
 var CostPair = &Analyzer{
 	Name: "costpair",
-	Doc: "functions emitting TraceSegments must touch Cost accounting in the same body " +
-		"(trace segments must sum to Cost.Seconds)",
+	Doc: "a Cost field next to a cmdstream.Program may only be written with " +
+		"that program's Cost() fold",
 	Run: runCostPair,
 }
 
 func runCostPair(pass *Pass) error {
 	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					sel := pairedCostRoot(pass, lhs)
+					if sel == nil {
+						continue
+					}
+					if ast.Unparen(lhs) == sel && n.Tok == token.ASSIGN &&
+						len(n.Rhs) == len(n.Lhs) && isFoldOf(pass, n.Rhs[i], sel.X) {
+						continue
+					}
+					reportCostWrite(pass, lhs.Pos(), sel)
+				}
+			case *ast.IncDecStmt:
+				if sel := pairedCostRoot(pass, n.X); sel != nil {
+					reportCostWrite(pass, n.Pos(), sel)
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					if sel := pairedCostRoot(pass, n.X); sel != nil {
+						reportCostWrite(pass, n.Pos(), sel)
+					}
+				}
+			case *ast.CallExpr:
+				fun, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+				if !ok || !pointerMethod(pass, fun) {
+					return true
+				}
+				if sel := pairedCostRoot(pass, fun.X); sel != nil {
+					reportCostWrite(pass, n.Pos(), sel)
+				}
+			case *ast.CompositeLit:
+				checkCostLiteral(pass, n)
 			}
-			emit, emitPos := emitsTrace(pass, fd.Body)
-			if !emit {
-				continue
-			}
-			if touchesCost(pass, fd.Body) {
-				continue
-			}
-			pass.Reportf(emitPos,
-				"%s emits TraceSegments without touching Cost accounting; pair the trace append with Cost.Add",
-				fd.Name.Name)
-		}
+			return true
+		})
 	}
 	return nil
 }
 
-// emitsTrace reports whether the body appends TraceSegment values or calls
-// the trace-only helper addOpaque.
-func emitsTrace(pass *Pass, body *ast.BlockStmt) (bool, token.Pos) {
-	var found ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			if _, isBuiltin := pass.TypesInfo.Uses[fun].(*types.Builtin); isBuiltin && fun.Name == "append" {
-				if len(call.Args) > 0 && sliceOfTraceSegments(pass, call.Args[0]) {
-					found = n
-					return false
-				}
-			}
-			if fun.Name == "addOpaque" {
-				found = n
-				return false
-			}
-		case *ast.SelectorExpr:
-			if fun.Sel.Name == "addOpaque" {
-				found = n
-				return false
-			}
-		}
-		return true
-	})
-	if found == nil {
-		return false, token.NoPos
-	}
-	return true, found.Pos()
+func reportCostWrite(pass *Pass, pos token.Pos, sel *ast.SelectorExpr) {
+	pass.Reportf(pos, "%s is written from outside its program's fold; assign %s.Cost() instead",
+		types.ExprString(sel), types.ExprString(sel.X)+"."+programField(pass, sel.X))
 }
 
-func sliceOfTraceSegments(pass *Pass, expr ast.Expr) bool {
+// pairedCostRoot walks a selector chain (res.Cost, res.Cost.Seconds) down
+// to a Cost field of a program-carrying struct and returns that selector.
+func pairedCostRoot(pass *Pass, expr ast.Expr) *ast.SelectorExpr {
+	for {
+		sel, ok := ast.Unparen(expr).(*ast.SelectorExpr)
+		if !ok {
+			return nil
+		}
+		if sel.Sel.Name == "Cost" && isField(pass, sel) && programField(pass, sel.X) != "" {
+			return sel
+		}
+		expr = sel.X
+	}
+}
+
+func isField(pass *Pass, sel *ast.SelectorExpr) bool {
+	s, ok := pass.TypesInfo.Selections[sel]
+	return ok && s.Kind() == types.FieldVal
+}
+
+// programField names the cmdstream.Program field of the struct expr
+// evaluates to (through one pointer), or "" when it carries none.
+func programField(pass *Pass, expr ast.Expr) string {
 	tv, ok := pass.TypesInfo.Types[expr]
 	if !ok || tv.Type == nil {
-		return false
+		return ""
 	}
-	slice, ok := tv.Type.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	named, ok := types.Unalias(slice.Elem()).(*types.Named)
-	return ok && named.Obj().Name() == "TraceSegment"
+	return programFieldOf(tv.Type)
 }
 
-// touchesCost reports whether the body references cost accounting: a
-// selector named Cost (field read, method value, or Cost.Add receiver).
-func touchesCost(pass *Pass, body *ast.BlockStmt) bool {
-	touched := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
+func programFieldOf(t types.Type) string {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return ""
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if isProgram(st.Field(i).Type()) {
+			return st.Field(i).Name()
+		}
+	}
+	return ""
+}
+
+func isProgram(t types.Type) bool {
+	named, ok := types.Unalias(t).(*types.Named)
+	return ok && named.Obj().Name() == "Program" &&
+		named.Obj().Pkg() != nil && named.Obj().Pkg().Name() == "cmdstream"
+}
+
+// isFoldOf reports whether rhs is the call <prog>.Cost() on a
+// cmdstream.Program, where <prog> is spelled as base itself or, when base
+// is a program-carrying struct, as base's program field.
+func isFoldOf(pass *Pass, rhs, base ast.Expr) bool {
+	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return false
+	}
+	fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || fun.Sel.Name != "Cost" {
+		return false
+	}
+	recv, ok := pass.TypesInfo.Types[fun.X]
+	if !ok || !isProgram(recv.Type) {
+		return false
+	}
+	want := types.ExprString(base)
+	if field := programField(pass, base); field != "" {
+		want += "." + field
+	}
+	return types.ExprString(fun.X) == want
+}
+
+// pointerMethod reports whether fun selects a method with a pointer
+// receiver — one that may mutate its operand.
+func pointerMethod(pass *Pass, fun *ast.SelectorExpr) bool {
+	s, ok := pass.TypesInfo.Selections[fun]
+	if !ok || s.Kind() != types.MethodVal {
+		return false
+	}
+	sig, ok := s.Obj().Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	_, ptr := sig.Recv().Type().(*types.Pointer)
+	return ptr
+}
+
+// checkCostLiteral applies the rule to a keyed literal of a
+// program-carrying struct: its Cost must be the fold of the literal's own
+// Program value.
+func checkCostLiteral(pass *Pass, lit *ast.CompositeLit) {
+	tv, ok := pass.TypesInfo.Types[lit]
+	if !ok || tv.Type == nil {
+		return
+	}
+	field := programFieldOf(tv.Type)
+	if field == "" {
+		return
+	}
+	var cost *ast.KeyValueExpr
+	var prog ast.Expr
+	for _, el := range lit.Elts {
+		kv, ok := el.(*ast.KeyValueExpr)
 		if !ok {
-			return true
+			continue
 		}
-		if sel.Sel.Name == "Cost" {
-			touched = true
-			return false
+		key, ok := kv.Key.(*ast.Ident)
+		if !ok {
+			continue
 		}
-		return true
-	})
-	return touched
+		switch key.Name {
+		case "Cost":
+			cost = kv
+		case field:
+			prog = kv.Value
+		}
+	}
+	if cost == nil {
+		return
+	}
+	if prog != nil && isFoldOf(pass, cost.Value, prog) {
+		return
+	}
+	pass.Reportf(cost.Pos(), "Cost in a literal carrying a cmdstream.Program must be that program's Cost() fold")
 }

@@ -1,60 +1,65 @@
-// Package costpairtest exercises the costpair analyzer: emitting trace
-// segments without touching Cost accounting is a positive; the paired form
-// and the directive-acknowledged trace-only helper are negatives.
+// Package costpairtest exercises the costpair analyzer: a Cost field that
+// sits next to a cmdstream.Program may only be written with that
+// program's Cost() fold. Assigning anything else, writing a sub-field,
+// Cost.Add, or taking its address is a positive; the fold itself, in an
+// assignment or a keyed literal, and Cost fields of structs without a
+// program are negatives.
 package costpairtest
 
-// TraceSegment mirrors pimrt.TraceSegment for the analyzer's type-name
-// driven detection.
-type TraceSegment struct {
-	Seconds float64
-}
-
-// Cost mirrors workload.Cost.
-type Cost struct {
-	Seconds float64
-	Joules  float64
-}
-
-// Add accumulates o into c.
-func (c *Cost) Add(o Cost) {
-	c.Seconds += o.Seconds
-	c.Joules += o.Joules
-}
+import (
+	"pinatubo/internal/cmdstream"
+	"pinatubo/internal/workload"
+)
 
 type result struct {
-	Cost  Cost
-	Trace []TraceSegment
+	Requests int
+	Cost     workload.Cost
+	Program  cmdstream.Program
 }
 
-func bad(res *result, sec float64) {
-	res.Trace = append(res.Trace, TraceSegment{Seconds: sec}) // want `bad emits TraceSegments without touching Cost`
+// ledger has a Cost but no program: nothing to derive it from.
+type ledger struct {
+	Cost workload.Cost
 }
 
-func badCaller(res *result, sec float64) {
-	res.addOpaque(sec) // want `badCaller emits TraceSegments without touching Cost`
+func badAssign(res *result, c workload.Cost) {
+	res.Cost = c // want `res.Cost is written from outside its program's fold`
 }
 
-func good(res *result, sec float64) {
-	res.Cost.Add(Cost{Seconds: sec})
-	res.Trace = append(res.Trace, TraceSegment{Seconds: sec})
+func badOtherProgram(res, other *result) {
+	res.Cost = other.Program.Cost() // want `res.Cost is written from outside its program's fold`
 }
 
-func goodCaller(res *result, sec float64) {
-	res.Cost.Add(Cost{Seconds: sec})
-	res.addOpaque(sec)
+func badAdd(res *result, sec float64) {
+	res.Cost.Add(workload.Cost{Seconds: sec}) // want `res.Cost is written from outside its program's fold`
 }
 
-// addOpaque is the trace-only half of the pair; its callers own the cost
-// side, which the directive records.
-//
-//pinlint:ignore costpair trace-only helper, callers pair with Cost.Add
-func (r *result) addOpaque(sec float64) {
-	if sec <= 0 {
-		return
-	}
-	r.Trace = append(r.Trace, TraceSegment{Seconds: sec})
+func badSubField(res *result, sec float64) {
+	res.Cost.Seconds += sec // want `res.Cost is written from outside its program's fold`
 }
 
-func goodUnrelatedAppend(xs []float64, x float64) []float64 {
-	return append(xs, x) // not a TraceSegment slice
+func badAddress(res *result) *workload.Cost {
+	return &res.Cost // want `res.Cost is written from outside its program's fold`
+}
+
+func badLiteral(p cmdstream.Program, c workload.Cost) result {
+	return result{Program: p, Cost: c} // want `Cost in a literal carrying a cmdstream.Program`
+}
+
+func good(res *result) {
+	res.Requests = res.Program.Requests()
+	res.Cost = res.Program.Cost()
+}
+
+func goodLiteral(p cmdstream.Program) result {
+	return result{Program: p, Cost: p.Cost()}
+}
+
+func goodRead(res *result) float64 {
+	return res.Cost.Seconds + res.Cost.Scale(2).Joules
+}
+
+func goodNoProgram(l *ledger, sec float64) {
+	l.Cost.Add(workload.Cost{Seconds: sec})
+	l.Cost = workload.Cost{}
 }

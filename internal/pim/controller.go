@@ -62,12 +62,6 @@ var ErrCrossRank = errors.New("pim: operands span ranks or channels; not support
 // ErrSharedRow is returned when two operands name the same physical row.
 var ErrSharedRow = errors.New("pim: operands share a physical row; Pinatubo requires distinct rows")
 
-// ErrActivationFault is returned when a multi-row activation transiently
-// fails under fault injection. The operation touched no cell state, so the
-// caller may simply reissue it. It aliases the backend seam's sentinel so
-// errors.Is works on either side of the interface.
-var ErrActivationFault = backend.ErrActivationFault
-
 // InterORLimit caps the operand count of a single inter-subarray/bank OR
 // request; longer chains are split by the runtime scheduler.
 const InterORLimit = 256

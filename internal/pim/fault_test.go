@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pinatubo/internal/analog"
+	"pinatubo/internal/backend"
 	"pinatubo/internal/bitvec"
 	"pinatubo/internal/fault"
 	"pinatubo/internal/memarch"
@@ -77,7 +78,7 @@ func TestActivationFaultSurfacesAsSentinel(t *testing.T) {
 	attachInjector(t, c, fault.Config{ActivationFailRate: 0.01})
 	srcs := addrsInSubarray(128)
 	_, err := c.Execute(sense.OpOR, srcs, 64, nil)
-	if !errors.Is(err, ErrActivationFault) {
+	if !errors.Is(err, backend.ErrActivationFault) {
 		t.Fatalf("err=%v, want ErrActivationFault", err)
 	}
 	// Single-row ops never activation-fault.

@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"pinatubo/internal/cmdstream"
-	"pinatubo/internal/ddr"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/pim"
 	"pinatubo/internal/sense"
@@ -330,22 +329,6 @@ func (s *Scheduler) groupBySubarray(rows []memarch.RowAddr) [][]memarch.RowAddr 
 	return s.groups
 }
 
-// TraceSegment is one channel-schedulable piece of a scheduled operation's
-// command trace. Controller-executed requests carry their full DDR command
-// sequence; verification and ECC passes, which the controller prices as
-// lump-sum latencies without emitting commands, appear as opaque segments
-// that occupy the destination's bank for Seconds.
-type TraceSegment struct {
-	// Cmds is the DDR command sequence of a controller-executed request
-	// (nil for opaque verification/ECC segments).
-	Cmds []ddr.Cmd
-	// Seconds is the bank-busy time of an opaque segment (0 when Cmds is
-	// set — the commands carry their own timing).
-	Seconds float64
-	// Addr locates the bank an opaque segment occupies.
-	Addr memarch.RowAddr
-}
-
 // ScheduleResult summarises one scheduled logical operation.
 type ScheduleResult struct {
 	Requests int
@@ -355,15 +338,9 @@ type ScheduleResult struct {
 	// Program is the operation's lowered cmdstream program: everything it
 	// put on the channel in execution order, including resilience
 	// expansions (retries, depth splits, ECC reprograms and verification
-	// passes). Requests, Cost and Trace are all derived from it by
-	// finalize — the program is the single source of truth.
+	// passes). Requests and Cost are derived from it by finalize — the
+	// program is the single source of truth.
 	Program cmdstream.Program
-
-	// Trace is the ordered command trace derived from Program. Replaying
-	// it through internal/chansim reproduces the operation's scheduling
-	// footprint; with resilience off it is exactly the plain controller
-	// command sequence.
-	Trace []TraceSegment
 
 	// Resilience outcome — all zero when the ladder is off or never needed.
 	Retries       int    // hardware re-executions
@@ -377,28 +354,14 @@ type ScheduleResult struct {
 }
 
 // finalize derives the result's accounting — request count, accumulated
-// Cost, TraceSegments — from the lowered program. This is the only place
+// Cost, vote tallies — from the lowered program. This is the only place
 // in the runtime that computes them. The cost fold replays the program's
 // annotations in emission order, so it is bit-identical to accumulating
-// during execution; zero-second verify instructions (the linear ECC fast
-// path) contribute energy but no trace segment.
+// during execution.
 func (res *ScheduleResult) finalize() {
 	res.Requests = res.Program.Requests()
 	res.Cost = res.Program.Cost()
 	res.Votes, res.BitsOutvoted = res.Program.Votes()
-	res.Trace = nil
-	for _, in := range res.Program.Instrs {
-		switch in.Kind {
-		case cmdstream.KindRequest, cmdstream.KindVoted:
-			res.Trace = append(res.Trace, TraceSegment{Cmds: in.Cmds})
-		case cmdstream.KindVerify:
-			if in.Seconds > 0 {
-				res.Trace = append(res.Trace, TraceSegment{Seconds: in.Seconds, Addr: in.Addr})
-			}
-		default:
-			// Unknown kinds carry no schedulable footprint.
-		}
-	}
 }
 
 // OR executes the logical OR of the operand rows into dst.

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 
+	"pinatubo/internal/backend"
 	"pinatubo/internal/memarch"
 	"pinatubo/internal/pim"
 	"pinatubo/internal/sense"
@@ -297,7 +298,7 @@ func (s *Scheduler) eccAttempt(op sense.Op, srcs []memarch.RowAddr, bits int, ta
 		}
 		r, err := s.nativeExec(op, srcs, bits, target)
 		if err != nil {
-			if errors.Is(err, pim.ErrActivationFault) {
+			if errors.Is(err, backend.ErrActivationFault) {
 				continue // nothing was sensed or written; reissue
 			}
 			return false, err
@@ -353,7 +354,7 @@ func (s *Scheduler) attempt(op sense.Op, srcs []memarch.RowAddr, bits int, targe
 		}
 		r, err := exec(op, srcs, bits, target)
 		if err != nil {
-			if errors.Is(err, pim.ErrActivationFault) {
+			if errors.Is(err, backend.ErrActivationFault) {
 				continue // nothing was sensed or written; reissue
 			}
 			return false, err

@@ -59,43 +59,78 @@ func fillRows(t *testing.T, ctl *pim.Controller, rows []memarch.RowAddr, w int, 
 // OR fail, the resilient scheduler returns the exact digital result, paying
 // with retries and depth reductions instead of wrong bits.
 func TestResilientORMatchesGoldenUnderHeavyFlips(t *testing.T) {
-	s, ctl := newResilientSched(t, memarch.Default(),
-		fault.Config{Seed: 17, SenseFlipRate: 1})
-	rng := rand.New(rand.NewSource(4))
-	const bits = 4096
-	w := bitvec.WordsFor(bits)
-	rows := make([]memarch.RowAddr, 128)
-	for i := range rows {
-		rows[i] = memarch.RowAddr{Subarray: 3, Row: i}
-	}
-	want := fillRows(t, ctl, rows, w, rng)
-	dst := memarch.RowAddr{Subarray: 3, Row: 900}
-	res, err := s.OR(rows, bits, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := ctl.Memory().ReadRow(res.FinalDst)
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("word %d wrong despite resilience", j)
+	t.Run("128-rows", func(t *testing.T) {
+		s, ctl := newResilientSched(t, memarch.Default(),
+			fault.Config{Seed: 17, SenseFlipRate: 1})
+		rng := rand.New(rand.NewSource(4))
+		const bits = 4096
+		w := bitvec.WordsFor(bits)
+		rows := make([]memarch.RowAddr, 128)
+		for i := range rows {
+			rows[i] = memarch.RowAddr{Subarray: 3, Row: i}
 		}
-	}
-	if !bitvec.FromWords(bits, res.Words).Equal(bitvec.FromWords(bits, want)) {
-		t.Fatal("reported words disagree with memory")
-	}
-	st := s.FaultStats()
-	if st.Retries == 0 || st.Verifies == 0 {
-		t.Fatalf("a flip rate of 1 must force retries and verifies: %+v", st)
-	}
-	if st.DepthReductions == 0 {
-		t.Fatalf("a 128-row OR at flip rate 1 must take the depth-split rung: %+v", st)
-	}
-	if res.Degraded == "" || res.Retries == 0 {
-		t.Fatalf("result does not report its degradation: %+v", res)
-	}
-	if st.BitsCorrected == 0 {
-		t.Fatalf("no corrected bits recorded: %+v", st)
-	}
+		want := fillRows(t, ctl, rows, w, rng)
+		dst := memarch.RowAddr{Subarray: 3, Row: 900}
+		res, err := s.OR(rows, bits, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ctl.Memory().ReadRow(res.FinalDst)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("word %d wrong despite resilience", j)
+			}
+		}
+		if !bitvec.FromWords(bits, res.Words).Equal(bitvec.FromWords(bits, want)) {
+			t.Fatal("reported words disagree with memory")
+		}
+		st := s.FaultStats()
+		if st.Retries == 0 || st.Verifies == 0 {
+			t.Fatalf("a flip rate of 1 must force retries and verifies: %+v", st)
+		}
+		if st.DepthReductions == 0 {
+			t.Fatalf("a 128-row OR at flip rate 1 must take the depth-split rung: %+v", st)
+		}
+		if res.Degraded == "" || res.Retries == 0 {
+			t.Fatalf("result does not report its degradation: %+v", res)
+		}
+		if st.BitsCorrected == 0 {
+			t.Fatalf("no corrected bits recorded: %+v", st)
+		}
+	})
+	// Regression: past MaxORRows the OR chains links (each restores the
+	// previous partial), and the depth-split rung must not commit garbage
+	// from a failed first attempt of a link.
+	t.Run("chained-200-rows", func(t *testing.T) {
+		for seed := int64(1); seed <= 8; seed++ {
+			s, ctl := newResilientSched(t, memarch.Default(),
+				fault.Config{Seed: seed, SenseFlipRate: 1})
+			rng := rand.New(rand.NewSource(seed + 100))
+			const bits = 4096
+			w := bitvec.WordsFor(bits)
+			rows := make([]memarch.RowAddr, 200)
+			for i := range rows {
+				rows[i] = memarch.RowAddr{Subarray: 3, Row: i}
+			}
+			want := fillRows(t, ctl, rows, w, rng)
+			dst := memarch.RowAddr{Subarray: 3, Row: 900}
+			res, err := s.OR(rows, bits, dst)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			got := ctl.Memory().ReadRow(res.FinalDst)
+			bad := 0
+			for j := range want {
+				if got[j] != want[j] {
+					bad++
+				}
+			}
+			if bad > 0 {
+				t.Errorf("seed %d: %d/%d words wrong in stored dst despite resilience (degraded=%q retries=%d)",
+					seed, bad, w, res.Degraded, res.Retries)
+			}
+		}
+	})
 }
 
 // Fixed-arity ops have no depth to split; they must degrade straight to the

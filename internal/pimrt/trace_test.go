@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pinatubo/internal/bitvec"
+	"pinatubo/internal/cmdstream"
 	"pinatubo/internal/ddr"
 	"pinatubo/internal/fault"
 	"pinatubo/internal/memarch"
@@ -14,22 +15,23 @@ import (
 	"pinatubo/internal/sense"
 )
 
-// traceSeconds sums the scheduling footprint of a trace: command segments
-// priced exactly as the controller priced them, opaque segments at their
-// recorded latency.
-func traceSeconds(trace []TraceSegment, t nvm.Timing, bus ddr.BusParams) float64 {
+// programSeconds sums the scheduling footprint of a lowered program:
+// request commands priced exactly as the controller priced them,
+// verification passes at their recorded latency.
+func programSeconds(p cmdstream.Program, t nvm.Timing, bus ddr.BusParams) float64 {
 	total := 0.0
-	for _, seg := range trace {
-		if seg.Cmds != nil {
-			total += ddr.Duration(seg.Cmds, t, bus)
-			continue
+	for _, in := range p.Instrs {
+		switch in.Kind {
+		case cmdstream.KindRequest, cmdstream.KindVoted:
+			total += ddr.Duration(in.Cmds, t, bus)
+		case cmdstream.KindVerify:
+			total += in.Seconds
 		}
-		total += seg.Seconds
 	}
 	return total
 }
 
-// With resilience off the trace is exactly the plain controller command
+// With resilience off the program is exactly the plain controller command
 // sequence — the zero-fault reproduction guarantee the planner relies on.
 func TestTracePlainPathMatchesController(t *testing.T) {
 	geo := memarch.Default()
@@ -51,33 +53,33 @@ func TestTracePlainPathMatchesController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) != 1 {
-		t.Fatalf("plain OR trace has %d segments, want 1", len(res.Trace))
+	if len(res.Program.Instrs) != 1 {
+		t.Fatalf("plain OR program has %d instructions, want 1", len(res.Program.Instrs))
 	}
-	seg := res.Trace[0]
-	if seg.Cmds == nil || seg.Seconds != 0 {
-		t.Fatalf("plain segment should carry commands only: %+v", seg)
+	in := res.Program.Instrs[0]
+	if in.Kind != cmdstream.KindRequest || in.Cmds == nil {
+		t.Fatalf("plain instruction should be a request with commands: %+v", in)
 	}
-	// The segment is the very command sequence a bare controller emits.
+	// The instruction is the very command sequence a bare controller emits.
 	ref, err := ctl.Execute(sense.OpOR, rows, geo.RowBits(), &dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seg.Cmds) != len(ref.Commands) {
-		t.Fatalf("trace %d commands, controller %d", len(seg.Cmds), len(ref.Commands))
+	if len(in.Cmds) != len(ref.Commands) {
+		t.Fatalf("program %d commands, controller %d", len(in.Cmds), len(ref.Commands))
 	}
-	for i := range seg.Cmds {
-		if seg.Cmds[i] != ref.Commands[i] {
-			t.Fatalf("command %d differs: %+v vs %+v", i, seg.Cmds[i], ref.Commands[i])
+	for i := range in.Cmds {
+		if in.Cmds[i] != ref.Commands[i] {
+			t.Fatalf("command %d differs: %+v vs %+v", i, in.Cmds[i], ref.Commands[i])
 		}
 	}
 	tech := nvm.Get(nvm.PCM)
-	if got := traceSeconds(res.Trace, tech.Timing, ctl.Bus()); got != res.Cost.Seconds {
-		t.Errorf("trace seconds %g != cost %g", got, res.Cost.Seconds)
+	if got := programSeconds(res.Program, tech.Timing, ctl.Bus()); got != res.Cost.Seconds {
+		t.Errorf("program seconds %g != cost %g", got, res.Cost.Seconds)
 	}
 }
 
-// Under heavy faults the trace grows with the ladder — retries, verify
+// Under heavy faults the program grows with the ladder — retries, verify
 // passes and host traffic all leave footprints — and its total duration
 // stays exactly the accumulated cost.
 func TestTraceAccountsForResilienceExpansions(t *testing.T) {
@@ -96,27 +98,33 @@ func TestTraceAccountsForResilienceExpansions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The expanded trace must be strictly longer than the one plain
+	// The expanded program must schedule strictly more than the one plain
 	// request the zero-fault path would have issued, and must include
-	// opaque verification segments.
-	if len(res.Trace) < 3 {
-		t.Fatalf("heavy-fault trace has only %d segments", len(res.Trace))
-	}
-	opaque := 0
-	for _, seg := range res.Trace {
-		if seg.Cmds == nil {
-			if seg.Seconds <= 0 {
-				t.Fatalf("opaque segment without latency: %+v", seg)
+	// verification passes that occupy the bank.
+	scheduled, verifies := 0, 0
+	for _, in := range res.Program.Instrs {
+		switch in.Kind {
+		case cmdstream.KindRequest, cmdstream.KindVoted:
+			if in.Cmds == nil {
+				t.Fatalf("request instruction without commands: %+v", in)
 			}
-			opaque++
+			scheduled++
+		case cmdstream.KindVerify:
+			if in.Seconds > 0 {
+				scheduled++
+				verifies++
+			}
 		}
 	}
-	if opaque == 0 {
-		t.Fatal("no verification segments in a verified schedule")
+	if scheduled < 3 {
+		t.Fatalf("heavy-fault program schedules only %d instructions", scheduled)
+	}
+	if verifies == 0 {
+		t.Fatal("no verification passes in a verified schedule")
 	}
 	tech := nvm.Get(nvm.PCM)
-	got := traceSeconds(res.Trace, tech.Timing, ctl.Bus())
+	got := programSeconds(res.Program, tech.Timing, ctl.Bus())
 	if math.Abs(got-res.Cost.Seconds) > res.Cost.Seconds*1e-12 {
-		t.Errorf("trace seconds %g != cost %g", got, res.Cost.Seconds)
+		t.Errorf("program seconds %g != cost %g", got, res.Cost.Seconds)
 	}
 }

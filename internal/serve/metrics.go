@@ -24,8 +24,8 @@ type TenantMetrics struct {
 type Metrics struct {
 	// Windows is the number of batch windows executed.
 	Windows int64 `json:"windows"`
-	// WindowCap is the admission controller's current window size — the
-	// planner's live saturation point.
+	// WindowCap is the admission controller's window size: Config's, or
+	// the planner's saturation point when Config left it 0.
 	WindowCap int `json:"window_cap"`
 	// OpsDone / OpsShed count admitted-and-completed vs shed ops.
 	OpsDone int64 `json:"ops_done"`
@@ -60,7 +60,6 @@ type Metrics struct {
 // computed on demand.
 type metricsState struct {
 	windows    int64
-	windowCap  int
 	opsDone    int64
 	opsShed    int64
 	hostOps    int64
@@ -90,7 +89,6 @@ func (m *metricsState) tenant(name string) *TenantMetrics {
 func (m *metricsState) snapshot(now time.Time) Metrics {
 	out := Metrics{
 		Windows:    m.windows,
-		WindowCap:  m.windowCap,
 		OpsDone:    m.opsDone,
 		OpsShed:    m.opsShed,
 		HostOps:    m.hostOps,

@@ -21,15 +21,10 @@ type Config struct {
 	System *pinatubo.System
 	// Arb is the channel arbitration policy windows schedule under.
 	Arb pinatubo.Arbiter
-	// WindowCap bounds ops per batch window. 0 asks the planner: the cap
-	// becomes the live System's saturation point for deep ORs — the
-	// concurrency past which more in-flight ops stop paying.
+	// WindowCap bounds ops per batch window. 0 asks the planner once, in
+	// New: the cap becomes the System's saturation point for deep ORs —
+	// the concurrency past which more in-flight ops stop paying.
 	WindowCap int
-	// PlanProbe is the concurrency the sizing plan explores (default 16).
-	PlanProbe int
-	// ReplanEvery re-derives WindowCap from a fresh Plan every N windows
-	// (0 keeps the startup cap; only used when WindowCap was auto-sized).
-	ReplanEvery int64
 	// QueueLimit bounds the total backlog (queued requests across
 	// tenants) before the admission controller sheds load. 0 defaults to
 	// 8 windows' worth.
@@ -44,13 +39,10 @@ type Config struct {
 // goroutines never touch the System — they only move Requests in and
 // Responses out.
 type Server struct {
-	sys         *pinatubo.System
-	arb         pinatubo.Arbiter
-	windowCap   int
-	autoCap     bool
-	planProbe   int
-	replanEvery int64
-	queueLimit  int
+	sys        *pinatubo.System
+	arb        pinatubo.Arbiter
+	windowCap  int
+	queueLimit int
 
 	reqCh chan envelope
 	now   func() time.Time
@@ -78,56 +70,43 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: Config.System is nil")
 	}
 	s := &Server{
-		sys:         cfg.System,
-		arb:         cfg.Arb,
-		windowCap:   cfg.WindowCap,
-		planProbe:   cfg.PlanProbe,
-		replanEvery: cfg.ReplanEvery,
-		queueLimit:  cfg.QueueLimit,
-		reqCh:       make(chan envelope, 256),
-		now:         time.Now,
-		tenants:     make(map[string]*tenant),
-	}
-	if s.planProbe < 1 {
-		s.planProbe = 16
+		sys:        cfg.System,
+		arb:        cfg.Arb,
+		windowCap:  cfg.WindowCap,
+		queueLimit: cfg.QueueLimit,
+		reqCh:      make(chan envelope, 256),
+		now:        time.Now,
+		tenants:    make(map[string]*tenant),
 	}
 	if s.windowCap < 1 {
-		s.autoCap = true
-		cap, err := s.planCap()
+		// Plan runs on sandboxes, so sizing never disturbs the System. At
+		// fault rate 0 its answer depends only on the immutable Config,
+		// the op, the probe and the arbiter, so it is asked once.
+		rep, err := s.sys.Plan(pinatubo.OpOr, planProbe, 0, pinatubo.WithArbiter(s.arb))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serve: sizing window: %w", err)
 		}
-		s.windowCap = cap
+		s.windowCap = max(rep.SaturationPoint, 1)
 	}
 	if s.queueLimit < 1 {
 		s.queueLimit = s.windowCap * 8
 	}
 	s.builder = s.sys.NewBatchBuilder()
 	s.met = newMetricsState(s.now())
-	s.met.windowCap = s.windowCap
 	return s, nil
 }
 
-// planCap asks the live System's planner for the deep-OR saturation
-// point. Plan runs entirely on sandboxes, so sizing never disturbs the
-// simulator's state — the server can re-plan between windows.
-func (s *Server) planCap() (int, error) {
-	rep, err := s.sys.Plan(pinatubo.OpOr, s.planProbe, 0, pinatubo.WithArbiter(s.arb))
-	if err != nil {
-		return 0, fmt.Errorf("serve: sizing window: %w", err)
-	}
-	if rep.SaturationPoint < 1 {
-		return 1, nil
-	}
-	return rep.SaturationPoint, nil
-}
+// planProbe is the concurrency the window-sizing plan explores.
+const planProbe = 16
 
 // Metrics snapshots the server's sustained-throughput and fairness
 // figures. Safe from any goroutine.
 func (s *Server) Metrics() Metrics {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.met.snapshot(s.now())
+	m := s.met.snapshot(s.now())
+	s.mu.Unlock()
+	m.WindowCap = s.windowCap
+	return m
 }
 
 // metric runs one mutation of the metrics state under the lock.
@@ -214,6 +193,12 @@ func (s *Server) HandleConn(conn net.Conn) {
 				continue
 			}
 			s.reqCh <- envelope{req: req, out: ob}
+		}
+		if err := sc.Err(); err != nil {
+			// An over-long line or a read error ends the session; the
+			// client still gets one error response before the close.
+			received++
+			ob.push(Response{Error: fmt.Sprintf("serve: reading request: %v", err)})
 		}
 		// EOF only half-closes: a pipe client may have sent its whole
 		// script and still be reading, so the writer stays until every
@@ -384,8 +369,7 @@ func (s *Server) startWindow(ctx context.Context) {
 }
 
 // boundary lands a finished window: merge (inside Wait), answer its ops,
-// optionally re-plan the cap, drain the queues fairly into the next
-// builder and launch it.
+// drain the queues fairly into the next builder and launch it.
 func (s *Server) boundary(ctx context.Context) {
 	br, err := s.run.Wait()
 	s.run = nil
@@ -420,12 +404,6 @@ func (s *Server) boundary(ctx context.Context) {
 			}
 			m.perf = perf
 		})
-		if s.autoCap && s.replanEvery > 0 && s.windowID%s.replanEvery == 0 {
-			if cap, err := s.planCap(); err == nil {
-				s.windowCap = cap
-				s.metric(func(m *metricsState) { m.windowCap = cap })
-			}
-		}
 	}
 	s.drain(ctx)
 	s.startWindow(ctx)

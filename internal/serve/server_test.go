@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/bits"
 	"math/rand"
 	"net"
@@ -568,5 +569,66 @@ func (c *testClient) call(req Request) (Response, error) {
 			return resp, fmt.Errorf("%s", resp.Error)
 		}
 		return resp, nil
+	}
+}
+
+// TestServeAutoSizedWindow pins WindowCap 0 to the planner: New sizes the
+// window once, to the deep-OR saturation point under the server's arbiter.
+func TestServeAutoSizedWindow(t *testing.T) {
+	for _, arb := range []pinatubo.Arbiter{pinatubo.ArbFIFO, pinatubo.ArbOldestReady} {
+		sys, err := pinatubo.New(pinatubo.Config{Tech: pinatubo.PCM, Geometry: serveGeometry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(Config{System: sys, Arb: arb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sys.Plan(pinatubo.OpOr, 16, 0, pinatubo.WithArbiter(arb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Metrics().WindowCap; got != rep.SaturationPoint {
+			t.Errorf("arbiter %v: WindowCap %d, want saturation point %d", arb, got, rep.SaturationPoint)
+		}
+	}
+}
+
+// TestServeOverlongLine sends a request line past the 4 MiB scanner limit:
+// the session answers it with exactly one error response, then closes.
+func TestServeOverlongLine(t *testing.T) {
+	sys, err := pinatubo.New(pinatubo.Config{Tech: pinatubo.PCM, Geometry: serveGeometry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{System: sys, WindowCap: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliConn, srvConn := net.Pipe()
+	defer cliConn.Close()
+	srv.HandleConn(srvConn)
+	go func() {
+		// The server stops reading mid-line, so this write ends when the
+		// server closes its end.
+		line := make([]byte, 5<<20)
+		for i := range line {
+			line[i] = ' '
+		}
+		line[len(line)-1] = '\n'
+		cliConn.Write(line)
+	}()
+	cliConn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	dec := json.NewDecoder(cliConn)
+	var resp Response
+	if err := dec.Decode(&resp); err != nil {
+		t.Fatalf("no response to an over-long line: %v", err)
+	}
+	if resp.OK || resp.Error == "" {
+		t.Errorf("response %+v, want an error", resp)
+	}
+	var extra Response
+	if err := dec.Decode(&extra); err != io.EOF {
+		t.Errorf("after the error response: %+v, %v; want EOF", extra, err)
 	}
 }

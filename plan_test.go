@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"pinatubo/internal/chansim"
+	"pinatubo/internal/cmdstream"
 	"pinatubo/internal/pimrt"
 )
 
-// planReference captures one bare controller-level OR trace from an
-// identically configured system and lowers it to a chansim template, the
-// way a caller without the Plan API would set up a saturation study.
+// planReference captures the command sequence of one bare controller-level
+// OR from an identically configured system and lowers it to a chansim
+// template through FromDDR rather than Program.Request, the way a caller
+// without the Plan API would set up a saturation study.
 func planReference(t *testing.T) chansim.Request {
 	t.Helper()
 	ref := newSys(t)
@@ -23,10 +25,11 @@ func planReference(t *testing.T) chansim.Request {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sr.Trace) != 1 || sr.Trace[0].Cmds == nil {
-		t.Fatalf("zero-fault OR trace has %d segments, want 1 command segment", len(sr.Trace))
+	instrs := sr.Program.Instrs
+	if len(instrs) != 1 || instrs[0].Kind != cmdstream.KindRequest || instrs[0].Cmds == nil {
+		t.Fatalf("zero-fault OR program %+v, want 1 request instruction with commands", instrs)
 	}
-	return chansim.FromDDR("or", sr.Trace[0].Cmds, ref.mem.Tech().Timing, ref.ctl.Bus(), geo.BanksPerChip)
+	return chansim.FromDDR("or", instrs[0].Cmds, ref.mem.Tech().Timing, ref.ctl.Bus(), geo.BanksPerChip)
 }
 
 func TestPlanZeroFaultMatchesChansim(t *testing.T) {
