@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"pinatubo/internal/bitvec"
@@ -333,10 +334,7 @@ func (t *Table) RandomQuery(rng *rand.Rand, sel float64) Query {
 	var q Query
 	for _, name := range t.order {
 		col := t.cols[name]
-		span := int(sel * float64(col.NBins()))
-		if span < 1 {
-			span = 1
-		}
+		span := min(max(int(sel*float64(col.NBins())), 1), col.NBins())
 		lo := rng.Intn(col.NBins() - span + 1)
 		q.Conds = append(q.Conds, RangeCond{
 			Col: name,
@@ -350,16 +348,48 @@ func (t *Table) RandomQuery(rng *rand.Rand, sel float64) Query {
 // Workload runs a batch of `queries` random queries (the paper's 240/480/
 // 720 workloads), returning the trace and the total matches (for tests).
 func Workload(t *Table, queries int, mapper pimrt.Mapper, cpu CPUWork, seed int64) (*workload.Trace, int, error) {
-	tr := &workload.Trace{Name: fmt.Sprintf("fastbit-%d", queries)}
-	rng := rand.New(rand.NewSource(seed))
-	matches := 0
-	for i := 0; i < queries; i++ {
-		q := t.RandomQuery(rng, 0.2+0.2*rng.Float64())
-		res, err := t.Evaluate(q, mapper, cpu, tr)
-		if err != nil {
-			return nil, 0, err
-		}
-		matches += res.Popcount()
+	trs, matches, err := Workloads(t, []int{queries}, mapper, cpu, seed)
+	if err != nil {
+		return nil, 0, err
 	}
-	return tr, matches, nil
+	return trs[0], matches[0], nil
+}
+
+// Workloads runs one stream of random queries, as long as the largest
+// batch, and returns for each batch size (ascending) the trace and total
+// matches of the stream's first `size` queries. The batches share one
+// seed, so each is a prefix of the longest, and all of them together cost
+// one run of the longest.
+func Workloads(t *Table, batches []int, mapper pimrt.Mapper, cpu CPUWork, seed int64) ([]*workload.Trace, []int, error) {
+	for i, n := range batches {
+		if n < 0 || (i > 0 && n < batches[i-1]) {
+			return nil, nil, fmt.Errorf("fastbit: batch sizes %v must be non-negative and ascending", batches)
+		}
+	}
+	var (
+		run     workload.Trace
+		rng     = rand.New(rand.NewSource(seed))
+		total   int
+		traces  = make([]*workload.Trace, 0, len(batches))
+		matches = make([]int, 0, len(batches))
+	)
+	for done := 0; ; done++ {
+		for len(traces) < len(batches) && batches[len(traces)] == done {
+			traces = append(traces, &workload.Trace{
+				Name:  fmt.Sprintf("fastbit-%d", done),
+				Ops:   slices.Clone(run.Ops),
+				Other: run.Other,
+			})
+			matches = append(matches, total)
+		}
+		if len(traces) == len(batches) {
+			return traces, matches, nil
+		}
+		q := t.RandomQuery(rng, 0.2+0.2*rng.Float64())
+		res, err := t.Evaluate(q, mapper, cpu, &run)
+		if err != nil {
+			return nil, nil, err
+		}
+		total += res.Popcount()
+	}
 }

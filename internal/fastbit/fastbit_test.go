@@ -2,6 +2,7 @@ package fastbit
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pinatubo/internal/memarch"
@@ -243,6 +244,56 @@ func TestWorkloadDeterministic(t *testing.T) {
 	}
 	if m1 != m2 {
 		t.Error("same seed, different results")
+	}
+}
+
+func TestWorkloadsAreStreamPrefixes(t *testing.T) {
+	tbl := newSTAR(t)
+	cpu := DefaultCPUWork()
+	batches := []int{0, 6, 6, 15}
+	trs, matches, err := Workloads(tbl, batches, mustMapper(t), cpu, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trs) != len(batches) || len(matches) != len(batches) {
+		t.Fatalf("%d traces, %d match counts for %d batches", len(trs), len(matches), len(batches))
+	}
+	for i, n := range batches {
+		want, wantMatches, err := Workload(tbl, n, mustMapper(t), cpu, 21)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(trs[i], want) || matches[i] != wantMatches {
+			t.Errorf("batch %d (%d queries): prefix of the stream differs from its own run", i, n)
+		}
+	}
+	if &trs[1].Ops[0] == &trs[2].Ops[0] {
+		t.Error("batches share one Ops array")
+	}
+	if _, _, err := Workloads(tbl, []int{8, 4}, mustMapper(t), cpu, 21); err == nil {
+		t.Error("descending batch sizes accepted")
+	}
+	if _, _, err := Workloads(tbl, []int{-1}, mustMapper(t), cpu, 21); err == nil {
+		t.Error("negative batch size accepted")
+	}
+}
+
+func TestRandomQueryClampsSelectivity(t *testing.T) {
+	tbl := newSTAR(t)
+	rng := rand.New(rand.NewSource(2))
+	q := tbl.RandomQuery(rng, 1.5)
+	for _, cond := range q.Conds {
+		c, _ := tbl.Column(cond.Col)
+		if cond.Lo != c.edges[0] || cond.Hi != c.edges[c.NBins()] {
+			t.Errorf("%s: [%g,%g) is not the full range [%g,%g)", cond.Col, cond.Lo, cond.Hi, c.edges[0], c.edges[c.NBins()])
+		}
+	}
+	got, err := tbl.Evaluate(q, mustMapper(t), DefaultCPUWork(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Popcount() != tbl.Rows() {
+		t.Errorf("full-range query matched %d of %d rows", got.Popcount(), tbl.Rows())
 	}
 }
 

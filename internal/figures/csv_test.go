@@ -50,10 +50,7 @@ func TestWriteComparisonCSV(t *testing.T) {
 }
 
 func TestWriteFig12CSV(t *testing.T) {
-	rows, err := Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := fig12(t)
 	var sb strings.Builder
 	if err := WriteFig12CSV(&sb, rows); err != nil {
 		t.Fatal(err)

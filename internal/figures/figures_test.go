@@ -95,6 +95,32 @@ func TestFig9Format(t *testing.T) {
 // fig10and11 runs the expensive comparison once for all dependent tests.
 var figCache struct {
 	f10, f11 []ComparisonRow
+	f12      []Fig12Row
+	traces   []NamedTrace
+}
+
+func fig12(t *testing.T) []Fig12Row {
+	t.Helper()
+	if figCache.f12 == nil {
+		rows, err := Fig12()
+		if err != nil {
+			t.Fatal(err)
+		}
+		figCache.f12 = rows
+	}
+	return figCache.f12
+}
+
+func allTraces(t *testing.T) []NamedTrace {
+	t.Helper()
+	if figCache.traces == nil {
+		traces, err := AllTraces()
+		if err != nil {
+			t.Fatal(err)
+		}
+		figCache.traces = traces
+	}
+	return figCache.traces
 }
 
 func fig10(t *testing.T) []ComparisonRow {
@@ -234,10 +260,7 @@ func TestComparisonFormat(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	rows, err := Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := fig12(t)
 	if len(rows) != 6 {
 		t.Fatalf("%d app workloads, want 6", len(rows))
 	}
@@ -282,10 +305,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig12Gmeans(t *testing.T) {
-	rows, err := Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := fig12(t)
 	sp := Fig12Gmeans(rows, "Graph", false)
 	if sp["Pinatubo-128"] < 1.05 || sp["Pinatubo-128"] > 1.4 {
 		t.Errorf("graph gmean speedup %.3f outside paper band (1.15x)", sp["Pinatubo-128"])

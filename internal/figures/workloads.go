@@ -116,6 +116,17 @@ func GraphTrace(name string) (*workload.Trace, error) {
 // FastbitTrace builds the bitmap-database trace for a query-batch size
 // (Table 1: 240, 480 or 720 queries against the STAR-like event table).
 func FastbitTrace(queries int) (*workload.Trace, error) {
+	trs, err := fastbitTraces(queries)
+	if err != nil {
+		return nil, err
+	}
+	return trs[0], nil
+}
+
+// fastbitTraces builds the STAR-like event table once and returns the
+// traces of the given ascending query-batch sizes, each the prefix of one
+// query stream.
+func fastbitTraces(batches ...int) ([]*workload.Trace, error) {
 	table, err := fastbit.SyntheticSTAR(1<<17, 64, 0x57A2)
 	if err != nil {
 		return nil, err
@@ -124,8 +135,8 @@ func FastbitTrace(queries int) (*workload.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, _, err := fastbit.Workload(table, queries, mapper, fastbit.DefaultCPUWork(), 0xDB)
-	return tr, err
+	trs, _, err := fastbit.Workloads(table, batches, mapper, fastbit.DefaultCPUWork(), 0xDB)
+	return trs, err
 }
 
 // NamedTrace is one evaluation workload with its Table 1 grouping.
@@ -134,7 +145,8 @@ type NamedTrace struct {
 	Trace *workload.Trace
 }
 
-// AllTraces builds the full 11-workload evaluation set of Figs. 10–11.
+// AllTraces builds the full 11-workload evaluation set of Figs. 10–11:
+// the Vector traces followed by AppTraces.
 func AllTraces() ([]NamedTrace, error) {
 	var out []NamedTrace
 	for _, vw := range VectorWorkloads() {
@@ -144,6 +156,17 @@ func AllTraces() ([]NamedTrace, error) {
 		}
 		out = append(out, NamedTrace{Group: "Vector", Trace: tr})
 	}
+	apps, err := AppTraces()
+	if err != nil {
+		return nil, err
+	}
+	return append(out, apps...), nil
+}
+
+// AppTraces builds only the two real applications of Fig. 12: the Graph
+// traces, then the Fastbit query batches.
+func AppTraces() ([]NamedTrace, error) {
+	var out []NamedTrace
 	for _, name := range []string{"dblp", "eswiki", "amazon"} {
 		tr, err := GraphTrace(name)
 		if err != nil {
@@ -151,29 +174,14 @@ func AllTraces() ([]NamedTrace, error) {
 		}
 		out = append(out, NamedTrace{Group: "Graph", Trace: tr})
 	}
-	for _, q := range []int{240, 480, 720} {
-		tr, err := FastbitTrace(q)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, NamedTrace{Group: "Fastbit", Trace: tr})
-	}
-	return out, nil
-}
-
-// AppTraces builds only the two real applications of Fig. 12.
-func AppTraces() ([]NamedTrace, error) {
-	all, err := AllTraces()
+	trs, err := fastbitTraces(240, 480, 720)
 	if err != nil {
 		return nil, err
 	}
-	var apps []NamedTrace
-	for _, nt := range all {
-		if nt.Group != "Vector" {
-			apps = append(apps, nt)
-		}
+	for _, tr := range trs {
+		out = append(out, NamedTrace{Group: "Fastbit", Trace: tr})
 	}
-	return apps, nil
+	return out, nil
 }
 
 // EngineSet bundles the five engines of the comparison.

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Dataset is one of the evaluation's graph workloads. The originals
 // (dblp-2010, eswiki-2013, amazon-2008 from the LAW collection) are
@@ -27,7 +30,7 @@ func Datasets() []Dataset {
 				if err != nil {
 					return nil, err
 				}
-				return connectIsolated(g, 0xD1B1)
+				return connectIsolated(g), nil
 			},
 		},
 		{
@@ -54,30 +57,28 @@ func DatasetByName(name string) (Dataset, error) {
 }
 
 // connectIsolated stitches all components of an RMAT sample into a single
-// one by chaining each component's lowest-numbered vertex to the previous
-// component's (dblp's largest component covers almost the whole collaboration
-// graph; the workload models it as fully connected).
-func connectIsolated(g *Graph, seed int64) (*Graph, error) {
-	_ = seed
-	edges := make(map[[2]int32]bool)
-	for v := 0; v < g.n; v++ {
-		for _, u := range g.adj[v] {
-			addEdge(edges, int32(v), u)
-		}
-	}
+// one by attaching every component's representative (its BFS root)
+// star-wise to the first component's root, so the stitching adds at most
+// two levels (dblp's largest component covers almost the whole
+// collaboration graph; the workload models it as fully connected). The
+// hub edges are appended to copies of g's lists, which are re-sorted.
+func connectIsolated(g *Graph) *Graph {
 	ref := ReferenceBFS(g)
-	// Attach every component's representative (its BFS root) to the first
-	// component's root, star-wise, so the stitching adds at most two levels.
-	hub := int32(-1)
+	adj := slices.Clone(g.adj)
+	hub := -1
 	for v := 0; v < g.n; v++ {
 		if ref.Level[v] != 0 {
 			continue
 		}
 		if hub < 0 {
-			hub = int32(v)
+			hub = v
+			adj[hub] = slices.Clip(adj[hub])
 			continue
 		}
-		addEdge(edges, hub, int32(v))
+		adj[hub] = append(adj[hub], int32(v))
+		adj[v] = append(slices.Clip(adj[v]), int32(hub))
+		slices.Sort(adj[v])
 	}
-	return newGraph(g.n, edges), nil
+	slices.Sort(adj[hub])
+	return &Graph{n: g.n, adj: adj}
 }

@@ -9,7 +9,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"pinatubo/internal/bitvec"
 )
@@ -49,26 +49,33 @@ func (g *Graph) AdjacencyBitmap(v int) *bitvec.Vector {
 	return row
 }
 
-// newGraph builds a Graph from an edge set, deduplicating and dropping
-// self-loops. Edges are sorted before the adjacency lists are built so the
-// lists (and everything downstream: host BFS traversal order, frontier
-// construction) do not inherit map iteration order.
+// newGraph builds a Graph from an edge set (deduplicated, no self-loops).
+// Every list is a capacity-capped window of one backing array, sorted
+// ascending, so the lists (and everything downstream: host BFS traversal
+// order, frontier construction) do not inherit map iteration order.
 func newGraph(n int, edges map[[2]int32]bool) *Graph {
-	g := &Graph{n: n, adj: make([][]int32, n)}
-	list := make([][2]int32, 0, len(edges))
+	off := make([]int, n+1)
 	for e := range edges {
-		list = append(list, e)
+		off[e[0]+1]++
+		off[e[1]+1]++
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i][0] != list[j][0] {
-			return list[i][0] < list[j][0]
-		}
-		return list[i][1] < list[j][1]
-	})
-	for _, e := range list {
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	backing := make([]int32, off[n])
+	g := &Graph{n: n, adj: make([][]int32, n)}
+	for v := range g.adj {
+		g.adj[v] = backing[off[v]:off[v]:off[v+1]]
+	}
+	for e := range edges {
 		u, v := e[0], e[1]
+		//pinlint:ignore maporder every list is sorted below
 		g.adj[u] = append(g.adj[u], v)
+		//pinlint:ignore maporder every list is sorted below
 		g.adj[v] = append(g.adj[v], u)
+	}
+	for _, a := range g.adj {
+		slices.Sort(a)
 	}
 	return g
 }
@@ -94,13 +101,22 @@ func ErdosRenyi(n int, avgDegree float64, seed int64) (*Graph, error) {
 	if avgDegree < 0 {
 		return nil, fmt.Errorf("graph: negative average degree %g", avgDegree)
 	}
+	if avgDegree > float64(n-1) {
+		return nil, fmt.Errorf("graph: average degree %g exceeds n-1 = %d", avgDegree, n-1)
+	}
+	return newGraph(n, erdosRenyiEdges(n, avgDegree, seed)), nil
+}
+
+// erdosRenyiEdges draws ErdosRenyi's edge set; avgDegree <= n-1 bounds the
+// draw by the n(n-1)/2 distinct edges.
+func erdosRenyiEdges(n int, avgDegree float64, seed int64) map[[2]int32]bool {
 	rng := rand.New(rand.NewSource(seed))
 	edgeCount := int(avgDegree * float64(n) / 2)
 	edges := make(map[[2]int32]bool, edgeCount)
 	for len(edges) < edgeCount {
 		addEdge(edges, int32(rng.Intn(n)), int32(rng.Intn(n)))
 	}
-	return newGraph(n, edges), nil
+	return edges
 }
 
 // RMAT generates a power-law graph (Chakrabarti et al.) with 2^scale
@@ -114,6 +130,11 @@ func RMAT(scale, edgeFactor int, seed int64) (*Graph, error) {
 	if edgeFactor < 1 {
 		return nil, fmt.Errorf("graph: RMAT edge factor %d", edgeFactor)
 	}
+	return newGraph(1<<scale, rmatEdges(scale, edgeFactor, seed)), nil
+}
+
+// rmatEdges draws RMAT's edge set.
+func rmatEdges(scale, edgeFactor int, seed int64) map[[2]int32]bool {
 	n := 1 << scale
 	rng := rand.New(rand.NewSource(seed))
 	const a, b, c = 0.57, 0.19, 0.19 // standard Graph500 parameters
@@ -136,7 +157,7 @@ func RMAT(scale, edgeFactor int, seed int64) (*Graph, error) {
 		}
 		addEdge(edges, int32(u), int32(v))
 	}
-	return newGraph(n, edges), nil
+	return edges
 }
 
 // BFSResult records a breadth-first traversal.

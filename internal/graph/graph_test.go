@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"pinatubo/internal/memarch"
@@ -50,6 +52,91 @@ func TestErdosRenyiErrors(t *testing.T) {
 	}
 	if _, err := ErdosRenyi(10, -1, 1); err == nil {
 		t.Error("negative degree accepted")
+	}
+	// More edges than the n(n-1)/2 distinct pairs: the draw could never
+	// finish, so the generator must refuse.
+	if _, err := ErdosRenyi(4, 10, 1); err == nil {
+		t.Error("average degree above n-1 accepted")
+	}
+	g, err := ErdosRenyi(4, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Edges() != 6 {
+		t.Errorf("complete K4 has %d edges, want 6", g.Edges())
+	}
+}
+
+// referenceGraph builds adjacency lists the way newGraph once did: sort
+// the edge list by (u, v), then append each edge to both endpoints.
+func referenceGraph(n int, edges map[[2]int32]bool) *Graph {
+	g := &Graph{n: n, adj: make([][]int32, n)}
+	list := make([][2]int32, 0, len(edges))
+	for e := range edges {
+		list = append(list, e)
+	}
+	sort.Slice(list, func(i, j int) bool {
+		if list[i][0] != list[j][0] {
+			return list[i][0] < list[j][0]
+		}
+		return list[i][1] < list[j][1]
+	})
+	for _, e := range list {
+		g.adj[e[0]] = append(g.adj[e[0]], e[1])
+		g.adj[e[1]] = append(g.adj[e[1]], e[0])
+	}
+	return g
+}
+
+// referenceConnectIsolated is connectIsolated the old way: rebuild the
+// edge map from the lists, add the hub edges, rebuild the graph.
+func referenceConnectIsolated(g *Graph) *Graph {
+	edges := make(map[[2]int32]bool)
+	for v := 0; v < g.n; v++ {
+		for _, u := range g.adj[v] {
+			addEdge(edges, int32(v), u)
+		}
+	}
+	ref := ReferenceBFS(g)
+	hub := int32(-1)
+	for v := 0; v < g.n; v++ {
+		if ref.Level[v] != 0 {
+			continue
+		}
+		if hub < 0 {
+			hub = int32(v)
+			continue
+		}
+		addEdge(edges, hub, int32(v))
+	}
+	return referenceGraph(g.n, edges)
+}
+
+func TestDatasetAdjacencyMatchesReference(t *testing.T) {
+	refs := map[string]func() *Graph{
+		"dblp": func() *Graph {
+			return referenceConnectIsolated(referenceGraph(1<<14, rmatEdges(14, 16, 0xD1B0)))
+		},
+		"eswiki": func() *Graph { return referenceGraph(1<<15, erdosRenyiEdges(1<<15, 0.8, 0xE5)) },
+		"amazon": func() *Graph { return referenceGraph(1<<15, erdosRenyiEdges(1<<15, 1.3, 0xA2)) },
+	}
+	for _, d := range Datasets() {
+		got, err := d.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refs[d.Name]()
+		if got.N() != want.N() {
+			t.Fatalf("%s: %d vertices, reference %d", d.Name, got.N(), want.N())
+		}
+		for v := 0; v < want.N(); v++ {
+			if !slices.IsSorted(want.Neighbors(v)) {
+				t.Fatalf("%s: reference list of %d is not ascending", d.Name, v)
+			}
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+				t.Fatalf("%s: neighbours of %d are %v, reference %v", d.Name, v, got.Neighbors(v), want.Neighbors(v))
+			}
+		}
 	}
 }
 

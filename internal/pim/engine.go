@@ -10,9 +10,13 @@ import (
 )
 
 // Engine adapts the Pinatubo controller to the workload.Engine interface
-// used by the evaluation. It prices every request by actually executing it
-// on a controller against template operand placements, so the figures and
-// the functional model can never drift apart.
+// used by the evaluation. It prices a request by executing its sub-requests
+// (row batches, intra-subarray OR chains, grouped-OR combines) on a
+// controller against template operand placements, so the figures and the
+// functional model can never drift apart. A cost is a sum of per-command
+// times and per-bit energies, so it depends only on the request's shape:
+// the engine memoises whole requests and the sub-requests they repeat
+// (intra-subarray OR chains, grouped-OR combines).
 //
 // The variant's one-step OR depth distinguishes "Pinatubo-2" (pairwise only,
 // what STT-MRAM-class sensing would give) from "Pinatubo-128" (the PCM
@@ -27,6 +31,9 @@ type Engine struct {
 	// requests thousands of times, and the controller execution that
 	// prices a spec is deterministic.
 	cache map[costKey]workload.Cost
+	// chains memoises chainedIntraOR by (operands, bits): grouped ORs
+	// repeat the same group sizes across many distinct specs.
+	chains map[[2]int]workload.Cost
 }
 
 // costKey identifies a request for memoisation.
@@ -85,6 +92,7 @@ func NewEngineWithGeometry(tech nvm.Tech, maxRows int, geo memarch.Geometry) (*E
 		maxRows:  maxRows,
 		channels: geo.Channels,
 		cache:    make(map[costKey]workload.Cost),
+		chains:   make(map[[2]int]workload.Cost),
 	}, nil
 }
 
@@ -275,7 +283,7 @@ func (e *Engine) groupedOR(spec workload.OpSpec, bits int) (workload.Cost, error
 	if combine.Operands < 2 {
 		return total, nil
 	}
-	c, err := e.batchCost(combine, bits)
+	c, err := e.OpCost(combine)
 	if err != nil {
 		return workload.Cost{}, err
 	}
@@ -286,6 +294,10 @@ func (e *Engine) groupedOR(spec workload.OpSpec, bits int) (workload.Cost, error
 // chainedIntraOR prices an n-operand intra-subarray OR at the engine's
 // one-step depth, chaining through an accumulator when n exceeds it.
 func (e *Engine) chainedIntraOR(n, bits int) (workload.Cost, error) {
+	key := [2]int{n, bits}
+	if c, ok := e.chains[key]; ok {
+		return c, nil
+	}
 	var total workload.Cost
 	acc := e.accAddr(workload.PlaceIntra)
 	dst := e.dstAddr(workload.PlaceIntra)
@@ -329,6 +341,7 @@ func (e *Engine) chainedIntraOR(n, bits int) (workload.Cost, error) {
 		total.Add(c)
 		done += take
 	}
+	e.chains[key] = total
 	return total, nil
 }
 
