@@ -6,20 +6,22 @@
 // Usage:
 //
 //	figures            # everything
-//	figures -fig 9     # one figure: table1, 9, 10, 11, 12, 13, margins, ablation, faults, replication, ecc, batch
-//	figures -fig batch -benchout BENCH_batch.json   # batch sweep + CI benchmark artifact
-//	figures -fig batch -benchgate BENCH_batch.json  # fail on >15% makespan regression
-//	figures -fig apply -applyout BENCH_apply.json   # Apply hot-path benchmark artifact
-//	figures -fig apply -applygate BENCH_apply.json  # fail on >15% allocs/op or hit-rate regression
-//	figures -fig techcompare                        # NVM-vs-DRAM latency/throughput/energy sweep
-//	figures -fig dram -dramout BENCH_dram.json      # DRAM TRA backend benchmark artifact
-//	figures -fig dram -dramgate BENCH_dram.json     # fail on >15% allocs/op, hit-rate, sim-time or energy regression
+//	figures -fig 9     # one figure: table1, 9, 10, 11, 12, 13, margins, ablation, extended,
+//	                   # faults, replication, ecc, headroom, batch, apply, techcompare, dram
+//	figures -fig 12 -csv                           # CSV instead of a text table (one figure only)
+//	figures -fig batch -benchout BENCH_batch.json  # also write the bench's baseline JSON
+//	figures -fig batch -benchgate BENCH_batch.json # fail on a >15% regression of a gated metric
+//
+// The benches are apply (PCM Apply hot path), dram (DRAM TRA backend hot
+// path) and batch (the k=16 sweep point); -benchout and -benchgate act on
+// the one -fig names, from the same run it prints.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pinatubo/internal/analog"
@@ -29,27 +31,30 @@ import (
 
 func main() {
 	fig := flag.String("fig", "all", "which figure to regenerate: table1, 9, 10, 11, 12, 13, margins, ablation, extended, faults, replication, ecc, headroom, batch, apply, techcompare, dram, all")
-	csvOut := flag.Bool("csv", false, "emit CSV instead of text tables (figs 9-13)")
-	benchOut := flag.String("benchout", "", "also write the batch smoke benchmark JSON to this file")
-	benchGate := flag.String("benchgate", "", "fail if the fresh batch benchmark's simulated makespan regresses >15% vs this baseline JSON")
-	applyOut := flag.String("applyout", "", "also write the Apply hot-path benchmark JSON to this file")
-	applyGate := flag.String("applygate", "", "fail if the fresh Apply benchmark's allocs/op or cache hit rate regresses >15% vs this baseline JSON")
-	dramOut := flag.String("dramout", "", "also write the DRAM TRA backend benchmark JSON to this file")
-	dramGate := flag.String("dramgate", "", "fail if the fresh DRAM benchmark's gated figures regress >15% vs this baseline JSON")
+	csvOut := flag.Bool("csv", false, "emit CSV instead of text tables where a figure has one; needs a single -fig")
+	benchOut := flag.String("benchout", "", "write the bench -fig names (apply, dram or batch) as baseline JSON to this file")
+	benchGate := flag.String("benchgate", "", "fail if a gated metric of the bench -fig names regresses >15% vs this baseline JSON")
 	flag.Parse()
 
-	if err := run(*fig, *csvOut, *benchOut, *benchGate, *applyOut, *applyGate, *dramOut, *dramGate); err != nil {
+	if err := run(os.Stdout, *fig, *csvOut, *benchOut, *benchGate); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dramOut, dramGate string) error {
+func run(w io.Writer, fig string, csvOut bool, benchOut, benchGate string) error {
+	if csvOut && fig == "all" {
+		return fmt.Errorf("-csv needs a single -fig")
+	}
+	if (benchOut != "" || benchGate != "") && fig != "apply" && fig != "dram" && fig != "batch" {
+		return fmt.Errorf("-benchout and -benchgate need -fig apply, dram or batch, not %q", fig)
+	}
 	want := func(name string) bool { return fig == "all" || fig == name }
 	printed := false
+	var bench figures.BenchResult // the run -benchout and -benchgate act on
 
 	if want("table1") {
-		fmt.Println(figures.FormatTable1())
+		fmt.Fprintln(w, figures.FormatTable1())
 		printed = true
 	}
 	if want("9") {
@@ -58,12 +63,12 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteFig9CSV(os.Stdout, rows)
+			return figures.WriteFig9CSV(w, rows)
 		}
-		fmt.Println(figures.FormatFig9(rows))
-		fmt.Println("  turning point A at 2^14 (SA sharing), B at 2^19 (rank row);")
-		fmt.Println("  regions: <12.8 GBps below the DDR bus, >1842 GBps beyond internal bandwidth")
-		fmt.Println()
+		fmt.Fprintln(w, figures.FormatFig9(rows))
+		fmt.Fprintln(w, "  turning point A at 2^14 (SA sharing), B at 2^19 (rank row);")
+		fmt.Fprintln(w, "  regions: <12.8 GBps below the DDR bus, >1842 GBps beyond internal bandwidth")
+		fmt.Fprintln(w)
 		printed = true
 	}
 	if want("10") {
@@ -72,9 +77,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteComparisonCSV(os.Stdout, rows)
+			return figures.WriteComparisonCSV(w, rows)
 		}
-		fmt.Println(figures.FormatComparison("Fig. 10 — bitwise-operation speedup vs SIMD baseline", rows))
+		fmt.Fprintln(w, figures.FormatComparison("Fig. 10 — bitwise-operation speedup vs SIMD baseline", rows))
 		printed = true
 	}
 	if want("11") {
@@ -83,9 +88,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteComparisonCSV(os.Stdout, rows)
+			return figures.WriteComparisonCSV(w, rows)
 		}
-		fmt.Println(figures.FormatComparison("Fig. 11 — bitwise-operation energy saving vs SIMD baseline", rows))
+		fmt.Fprintln(w, figures.FormatComparison("Fig. 11 — bitwise-operation energy saving vs SIMD baseline", rows))
 		printed = true
 	}
 	if want("12") {
@@ -94,9 +99,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteFig12CSV(os.Stdout, rows)
+			return figures.WriteFig12CSV(w, rows)
 		}
-		fmt.Println(figures.FormatFig12(rows))
+		fmt.Fprintln(w, figures.FormatFig12(rows))
 		printed = true
 	}
 	if want("13") {
@@ -105,13 +110,13 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteFig13CSV(os.Stdout, res)
+			return figures.WriteFig13CSV(w, res)
 		}
-		fmt.Println(figures.FormatFig13(res))
+		fmt.Fprintln(w, figures.FormatFig13(res))
 		printed = true
 	}
 	if want("margins") {
-		printMargins()
+		printMargins(w)
 		printed = true
 	}
 	if want("ablation") {
@@ -127,12 +132,12 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 		if err != nil {
 			return err
 		}
-		fmt.Println(figures.FormatAblations(d, m, te))
+		fmt.Fprintln(w, figures.FormatAblations(d, m, te))
 		conc, err := figures.ConcurrencyAblation()
 		if err != nil {
 			return err
 		}
-		fmt.Println(figures.FormatConcurrency(conc))
+		fmt.Fprintln(w, figures.FormatConcurrency(conc))
 		printed = true
 	}
 	if want("extended") {
@@ -140,7 +145,7 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 		if err != nil {
 			return err
 		}
-		fmt.Println(figures.FormatExtended(rows))
+		fmt.Fprintln(w, figures.FormatExtended(rows))
 		printed = true
 	}
 	if want("faults") {
@@ -149,9 +154,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteFaultSweepCSV(os.Stdout, rows)
+			return figures.WriteFaultSweepCSV(w, rows)
 		}
-		fmt.Println(figures.FormatFaultSweep(rows))
+		fmt.Fprintln(w, figures.FormatFaultSweep(rows))
 		printed = true
 	}
 	if want("replication") {
@@ -160,9 +165,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteReplicationCSV(os.Stdout, rows)
+			return figures.WriteReplicationCSV(w, rows)
 		}
-		fmt.Println(figures.FormatReplicationSweep(rows))
+		fmt.Fprintln(w, figures.FormatReplicationSweep(rows))
 		printed = true
 	}
 	if want("ecc") {
@@ -171,9 +176,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteECCSweepCSV(os.Stdout, rows)
+			return figures.WriteECCSweepCSV(w, rows)
 		}
-		fmt.Println(figures.FormatECCSweep(rows))
+		fmt.Fprintln(w, figures.FormatECCSweep(rows))
 		printed = true
 	}
 	if want("headroom") {
@@ -182,9 +187,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteHeadroomCSV(os.Stdout, rows)
+			return figures.WriteHeadroomCSV(w, rows)
 		}
-		fmt.Println(figures.FormatHeadroom(rows))
+		fmt.Fprintln(w, figures.FormatHeadroom(rows))
 		printed = true
 	}
 	if want("batch") {
@@ -193,9 +198,20 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteBatchCSV(os.Stdout, rows)
+			if err := figures.WriteBatchCSV(w, rows); err != nil {
+				return err
+			}
+		} else {
+			fmt.Fprintln(w, figures.FormatBatch(rows))
 		}
-		fmt.Println(figures.FormatBatch(rows))
+		res, err := figures.BatchBench(rows)
+		if err != nil {
+			return err
+		}
+		if !csvOut {
+			fmt.Fprintln(w, figures.FormatBench(res))
+		}
+		bench = res
 		printed = true
 	}
 	if want("apply") {
@@ -203,7 +219,8 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 		if err != nil {
 			return err
 		}
-		fmt.Println(figures.FormatApplyBench(res))
+		fmt.Fprintln(w, figures.FormatBench(res))
+		bench = res
 		printed = true
 	}
 	if want("techcompare") {
@@ -212,9 +229,9 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 			return err
 		}
 		if csvOut {
-			return figures.WriteTechCompareCSV(os.Stdout, rows)
+			return figures.WriteTechCompareCSV(w, rows)
 		}
-		fmt.Println(figures.FormatTechCompare(rows))
+		fmt.Fprintln(w, figures.FormatTechCompare(rows))
 		printed = true
 	}
 	if want("dram") {
@@ -222,120 +239,27 @@ func run(fig string, csvOut bool, benchOut, benchGate, applyOut, applyGate, dram
 		if err != nil {
 			return err
 		}
-		fmt.Println(figures.FormatDRAMBench(res))
+		fmt.Fprintln(w, figures.FormatBench(res))
+		bench = res
 		printed = true
 	}
 	if !printed {
 		return fmt.Errorf("unknown figure %q", fig)
 	}
-	if benchOut != "" || benchGate != "" {
-		if err := runBench(benchOut, benchGate); err != nil {
-			return err
-		}
-	}
-	if applyOut != "" || applyGate != "" {
-		if err := runApplyBench(applyOut, applyGate); err != nil {
-			return err
-		}
-	}
-	if dramOut != "" || dramGate != "" {
-		return runDRAMBench(dramOut, dramGate)
-	}
-	return nil
+	return benchFiles(bench, benchOut, benchGate)
 }
 
-// runDRAMBench runs the DRAM TRA backend benchmark once, optionally
-// persisting the result and optionally gating its host-independent
-// figures against a committed baseline.
-func runDRAMBench(dramOut, dramGate string) error {
-	res, err := figures.DRAMBench()
-	if err != nil {
-		return err
-	}
-	if dramOut != "" {
-		f, err := os.Create(dramOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := figures.WriteDRAMBenchResultJSON(f, res); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if dramGate != "" {
-		data, err := os.ReadFile(dramGate)
-		if err != nil {
-			return err
-		}
-		var baseline figures.DRAMBenchResult
-		if err := json.Unmarshal(data, &baseline); err != nil {
-			return fmt.Errorf("parsing baseline %s: %w", dramGate, err)
-		}
-		if err := figures.GateDRAMBench(res, baseline, 0.15); err != nil {
-			return err
-		}
-		fmt.Printf("dramgate: %.1f allocs/op, hit rate %.3f, %.3es sim/op, %.3f pJ/bit within 15%% of baseline (%s)\n",
-			res.AllocsPerOp, res.CacheHitRate, res.SimSecondsPerOp, res.PJPerBit, dramGate)
-	}
-	return nil
-}
-
-// runApplyBench runs the Apply hot-path benchmark once, optionally
-// persisting the result and optionally gating its host-independent
-// figures against a committed baseline.
-func runApplyBench(applyOut, applyGate string) error {
-	res, err := figures.ApplyBench()
-	if err != nil {
-		return err
-	}
-	if applyOut != "" {
-		f, err := os.Create(applyOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := figures.WriteApplyBenchResultJSON(f, res); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if applyGate != "" {
-		data, err := os.ReadFile(applyGate)
-		if err != nil {
-			return err
-		}
-		var baseline figures.ApplyBenchResult
-		if err := json.Unmarshal(data, &baseline); err != nil {
-			return fmt.Errorf("parsing baseline %s: %w", applyGate, err)
-		}
-		if err := figures.GateApplyBench(res, baseline, 0.15); err != nil {
-			return err
-		}
-		fmt.Printf("applygate: %.1f allocs/op, hit rate %.3f within 15%% of baseline (%s)\n",
-			res.AllocsPerOp, res.CacheHitRate, applyGate)
-	}
-	return nil
-}
-
-// runBench runs the batch smoke benchmark once, optionally persisting the
-// result and optionally gating it against a committed baseline.
-func runBench(benchOut, benchGate string) error {
-	res, err := figures.BatchBench()
-	if err != nil {
-		return err
-	}
+// benchFiles writes the bench run the figures above printed to benchOut
+// and gates it against the baseline at benchGate; an empty path skips
+// that step.
+func benchFiles(res figures.BenchResult, benchOut, benchGate string) error {
 	if benchOut != "" {
 		f, err := os.Create(benchOut)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if err := figures.WriteBatchBenchResultJSON(f, res); err != nil {
+		if err := figures.WriteBenchJSON(f, res); err != nil {
 			return err
 		}
 		if err := f.Close(); err != nil {
@@ -347,69 +271,69 @@ func runBench(benchOut, benchGate string) error {
 		if err != nil {
 			return err
 		}
-		var baseline figures.BatchBenchResult
+		var baseline map[string]float64
 		if err := json.Unmarshal(data, &baseline); err != nil {
 			return fmt.Errorf("parsing baseline %s: %w", benchGate, err)
 		}
-		if err := figures.GateBatchBench(res, baseline, 0.15); err != nil {
+		if err := figures.GateBench(res, baseline); err != nil {
 			return err
 		}
-		fmt.Printf("benchgate: makespan %.6es within +15%% of baseline %.6es (%s)\n",
-			res.MakespanSeconds, baseline.MakespanSeconds, benchGate)
+		fmt.Fprintf(os.Stderr, "benchgate: %s gated metrics within %.0f%% of baseline %s\n",
+			res.Name, figures.GateTolerance*100, benchGate)
 	}
 	return nil
 }
 
 // printMargins reports the sensing-margin analysis behind the paper's
 // multi-row claims (the Fig. 5/6 design-space content).
-func printMargins() {
+func printMargins(w io.Writer) {
 	cfg := analog.DefaultSenseConfig()
-	fmt.Println("Sensing margins (worst case, 4σ variation, 5% SA offset tolerance)")
+	fmt.Fprintln(w, "Sensing margins (worst case, 4σ variation, 5% SA offset tolerance)")
 	for _, p := range nvm.All() {
 		orMax, err := analog.MaxORRows(cfg, p, 512)
 		if err != nil {
-			fmt.Printf("  %-9s %v\n", p.Tech, err)
+			fmt.Fprintf(w, "  %-9s %v\n", p.Tech, err)
 			continue
 		}
 		andMax, err := analog.MaxANDRows(cfg, p, 16)
 		if err != nil {
-			fmt.Printf("  %-9s %v\n", p.Tech, err)
+			fmt.Fprintf(w, "  %-9s %v\n", p.Tech, err)
 			continue
 		}
-		fmt.Printf("  %-9s ON/OFF %6.1f  analog OR depth %3d  AND depth %d  architectural cap %d\n",
+		fmt.Fprintf(w, "  %-9s ON/OFF %6.1f  analog OR depth %3d  AND depth %d  architectural cap %d\n",
 			p.Tech, p.Cell.OnOffRatio(), orMax, andMax, p.MaxOpenRows)
 		for _, n := range []int{2, 8, 32, 128} {
 			m := analog.ORMargin(cfg, p.Cell, n)
-			fmt.Printf("      %3d-row OR margin %+.3f\n", n, m)
+			fmt.Fprintf(w, "      %3d-row OR margin %+.3f\n", n, m)
 		}
 	}
-	fmt.Println()
-	printReliability(cfg)
+	fmt.Fprintln(w)
+	printReliability(w, cfg)
 }
 
 // printReliability reports the PCM drift/temperature sensitivity of the
 // multi-row margins (an extension beyond the paper's fixed-condition
 // analysis).
-func printReliability(cfg analog.SenseConfig) {
+func printReliability(w io.Writer, cfg analog.SenseConfig) {
 	p := nvm.Get(nvm.PCM)
-	fmt.Println("PCM reliability sweeps (128-row OR margin / depth)")
+	fmt.Fprintln(w, "PCM reliability sweeps (128-row OR margin / depth)")
 	drift, err := analog.DriftSweep(cfg, p, []float64{1, 1e3, 1e6, 1e8})
 	if err != nil {
-		fmt.Println("  drift sweep:", err)
+		fmt.Fprintln(w, "  drift sweep:", err)
 		return
 	}
 	for _, pt := range drift {
-		fmt.Printf("  drift %8.0es:  ON/OFF %7.0f  margin %+.3f  depth %3d\n",
+		fmt.Fprintf(w, "  drift %8.0es:  ON/OFF %7.0f  margin %+.3f  depth %3d\n",
 			pt.Condition, pt.Ratio, pt.Margin128, pt.Depth)
 	}
 	temps, err := analog.TemperatureSweep(cfg, p, []float64{0, 25, 50, 85})
 	if err != nil {
-		fmt.Println("  temperature sweep:", err)
+		fmt.Fprintln(w, "  temperature sweep:", err)
 		return
 	}
 	for _, pt := range temps {
-		fmt.Printf("  +%3.0f°C:          ON/OFF %7.1f  margin %+.3f  depth %3d\n",
+		fmt.Fprintf(w, "  +%3.0f°C:          ON/OFF %7.1f  margin %+.3f  depth %3d\n",
 			pt.Condition, pt.Ratio, pt.Margin128, pt.Depth)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }

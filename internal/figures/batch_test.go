@@ -2,7 +2,6 @@ package figures
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -40,26 +39,5 @@ func TestBatchSweep(t *testing.T) {
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != 3 {
 		t.Errorf("CSV lines = %d, want 3", lines)
-	}
-}
-
-func TestBatchBenchJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBatchBenchJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var res BatchBenchResult
-	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.K != DefaultBatchKs[len(DefaultBatchKs)-1] {
-		t.Errorf("K = %d", res.K)
-	}
-	if res.BatchedOpsPerSec <= res.SequentialOpsPerSec {
-		t.Errorf("batched %.0f ops/s not above sequential %.0f ops/s",
-			res.BatchedOpsPerSec, res.SequentialOpsPerSec)
-	}
-	if res.Speedup <= 1 {
-		t.Errorf("speedup = %.3f, want > 1", res.Speedup)
 	}
 }

@@ -220,6 +220,17 @@ func (s *Server) tenantFor(name string) *tenant {
 	return t
 }
 
+// reap forgets a tenant that is idle and holds no vectors. tenantFor
+// recreates an identical empty tenant on its next request, so admission
+// and drain order are unchanged, while tenantShare and drain scan only
+// live tenants instead of every name ever seen. The metrics ledger keeps
+// the tenant's counts.
+func (s *Server) reap(t *tenant) {
+	if t.idle() && len(t.vecs) == 0 {
+		delete(s.tenants, t.name)
+	}
+}
+
 // handle admits one request: stats answer immediately; host-path
 // requests run now when their tenant is idle and no window is executing,
 // else queue behind the tenant's earlier traffic; ops join the next
@@ -234,6 +245,7 @@ func (s *Server) handle(ctx context.Context, env envelope) {
 		return
 	case "alloc", "write", "read", "free":
 		t := s.tenantFor(req.Tenant)
+		defer s.reap(t)
 		if s.run == nil && t.idle() {
 			s.execHost(t, env)
 			return
@@ -241,6 +253,7 @@ func (s *Server) handle(ctx context.Context, env envelope) {
 		s.enqueue(t, env)
 	case "op":
 		t := s.tenantFor(req.Tenant)
+		defer s.reap(t)
 		if len(t.queue) > 0 {
 			// Earlier requests of this tenant are still queued; jumping
 			// past them would break per-tenant program order.
@@ -369,7 +382,8 @@ func (s *Server) startWindow(ctx context.Context) {
 }
 
 // boundary lands a finished window: merge (inside Wait), answer its ops,
-// drain the queues fairly into the next builder and launch it.
+// drain the queues fairly into the next builder, launch it and forget
+// the tenants left idle and empty.
 func (s *Server) boundary(ctx context.Context) {
 	br, err := s.run.Wait()
 	s.run = nil
@@ -407,6 +421,9 @@ func (s *Server) boundary(ctx context.Context) {
 	}
 	s.drain(ctx)
 	s.startWindow(ctx)
+	for _, t := range s.tenants {
+		s.reap(t)
+	}
 }
 
 // drain moves queued requests forward at a window boundary: round-robin

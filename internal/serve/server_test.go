@@ -417,6 +417,59 @@ func TestServeShedding(t *testing.T) {
 	}
 }
 
+// TestServeForgetsIdleTenants checks that a tenant which ends idle with
+// no vectors leaves the tenant map: 1000 one-off tenants — failed reads,
+// alloc/free pairs queued behind a running window, ops naming unknown
+// vectors — leave only the tenant still holding vectors, and none once
+// it frees them. The metrics ledger keeps every tenant.
+func TestServeForgetsIdleTenants(t *testing.T) {
+	sys, err := pinatubo.New(pinatubo.Config{Tech: pinatubo.PCM, Geometry: serveGeometry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, srv := newDriver(t, Config{System: sys, WindowCap: 2, QueueLimit: 1 << 20})
+	out := &collector{}
+	const bits = 4096
+	for _, name := range []string{"src", "dst"} {
+		d.mustOK(out, Request{Tenant: "keep", Type: "alloc", Name: name, Bits: bits})
+	}
+	// A running window sends later host requests through the queue and
+	// the boundary's drain.
+	d.send(out, Request{Tenant: "keep", Type: "op", Op: "copy", Dst: "dst", Srcs: []string{"src"}})
+	if srv.run == nil {
+		t.Fatal("op did not start a window")
+	}
+
+	const tenants = 1000
+	for i := 0; i < tenants; i++ {
+		name := fmt.Sprintf("t%d", i)
+		switch i % 3 {
+		case 0:
+			d.send(out, Request{Tenant: name, Type: "read", Name: "nope"})
+		case 1:
+			d.send(out, Request{Tenant: name, Type: "alloc", Name: "v", Bits: bits})
+			d.send(out, Request{Tenant: name, Type: "free", Name: "v"})
+		case 2:
+			d.send(out, Request{Tenant: name, Type: "op", Op: "not", Dst: "x", Srcs: []string{"y"}})
+		}
+	}
+	d.land()
+	if len(out.resps) != int(d.nextID) {
+		t.Fatalf("%d responses for %d requests", len(out.resps), d.nextID)
+	}
+	if _, ok := srv.tenants["keep"]; !ok || len(srv.tenants) != 1 {
+		t.Fatalf("%d tenants left, want only keep", len(srv.tenants))
+	}
+	d.mustOK(out, Request{Tenant: "keep", Type: "free", Name: "src"})
+	d.mustOK(out, Request{Tenant: "keep", Type: "free", Name: "dst"})
+	if len(srv.tenants) != 0 {
+		t.Errorf("%d tenants left after every vector was freed", len(srv.tenants))
+	}
+	if m := srv.Metrics(); m.Tenants["t1"].HostOps != 2 {
+		t.Errorf("ledger for t1: %+v, want its 2 host ops", m.Tenants["t1"])
+	}
+}
+
 // TestServeConcurrentClients is the end-to-end smoke under -race: a live
 // Run loop, real connections (net.Pipe), concurrent clients in separate
 // goroutines issuing allocs, writes, pipelined ops and reads — every
